@@ -14,24 +14,30 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.data.trajectory import _SmoothTrajectory
+from repro.data.trajectory import _SmoothTrajectory, row_blocks
 
 
-def density_profile(period: float = 40.0, floor: float = 0.15) -> Callable[[float], float]:
+def density_profile(
+    period: float = 40.0, floor: float = 0.15
+) -> Callable[[float | np.ndarray], float | np.ndarray]:
     """A smooth [floor, 1] density along path time with feature-poor dips.
+
+    The returned profile takes a float or an ``(n,)`` array of times.
 
     Args:
         period: approximate seconds between successive density dips.
         floor: minimum density (relative to the rich regions).
     """
+    if period <= 0:
+        raise ConfigurationError("period must be positive")
     if not 0.0 < floor <= 1.0:
         raise ConfigurationError("floor must be in (0, 1]")
     w1 = 2.0 * np.pi / period
     w2 = 2.0 * np.pi / (period * 2.7)
 
-    def profile(t: float) -> float:
+    def profile(t: float | np.ndarray) -> float | np.ndarray:
         raw = 0.55 + 0.35 * np.sin(w1 * t) + 0.25 * np.sin(w2 * t + 1.3)
-        return float(np.clip(raw, floor, 1.0))
+        return np.clip(raw, floor, 1.0)
 
     return profile
 
@@ -44,7 +50,7 @@ def make_landmarks(
     lateral_spread: float = 12.0,
     vertical_spread: float = 4.0,
     forward_spread: float = 4.0,
-    density: Callable[[float], float] | None = None,
+    density: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Scatter ``count`` candidate landmarks around the trajectory tube.
 
@@ -60,21 +66,20 @@ def make_landmarks(
     density = density or density_profile()
 
     anchor_times = rng.uniform(0.0, duration, size=count)
-    keep = rng.uniform(size=count) < np.array([density(t) for t in anchor_times])
+    keep = rng.uniform(size=count) < density(anchor_times)
     anchor_times = anchor_times[keep]
+    # One draw per axis per landmark, in the order a per-landmark loop
+    # would make them.
+    offsets = rng.normal(
+        scale=(forward_spread, lateral_spread, vertical_spread),
+        size=(anchor_times.size, 3),
+    )
 
-    points = np.empty((anchor_times.size, 3))
-    for i, t in enumerate(anchor_times):
-        anchor = trajectory.position(float(t))
-        offset = np.array(
-            [
-                rng.normal(scale=forward_spread),
-                rng.normal(scale=lateral_spread),
-                rng.normal(scale=vertical_spread),
-            ]
-        )
+    points = np.empty_like(offsets)
+    for rows in row_blocks(anchor_times.size):
+        t = anchor_times[rows]
         # Rotate the offset into the local heading so the cloud follows
         # the path (lateral offsets stay lateral through turns).
-        rotation = trajectory.rotation(float(t))
-        points[i] = anchor + rotation @ offset
+        rotated = np.matmul(trajectory.rotation(t), offsets[rows, :, None])[:, :, 0]
+        points[rows] = trajectory.position(t) + rotated
     return points

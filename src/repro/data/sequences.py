@@ -26,7 +26,7 @@ from repro.imu.noise import ImuNoise
 from repro.imu.preintegration import GRAVITY
 from repro.data.landmarks import density_profile, make_landmarks
 from repro.data.tracks import FeatureTracker, FrameObservations, TrackerConfig
-from repro.data.trajectory import CarTrajectory, DroneTrajectory
+from repro.data.trajectory import CarTrajectory, DroneTrajectory, row_blocks
 from repro.utils.rng import rng_from_seed, split_seed
 
 
@@ -55,6 +55,22 @@ class SequenceConfig:
             raise ConfigurationError("duration and rates must be positive")
         if self.imu_rate < 2 * self.keyframe_rate:
             raise ConfigurationError("imu_rate must be well above keyframe_rate")
+        if self.landmark_count < 1:
+            raise ConfigurationError(
+                f"landmark_count must be >= 1, got {self.landmark_count!r}"
+            )
+        if not self.density_period > 0:
+            raise ConfigurationError(
+                f"density_period must be positive, got {self.density_period!r}"
+            )
+        if not 0.0 < self.density_floor <= 1.0:
+            raise ConfigurationError(
+                f"density_floor must be in (0, 1], got {self.density_floor!r}"
+            )
+        if self.kind == "drone" and not self.motion_scale > 0:
+            raise ConfigurationError(
+                f"motion_scale must be positive for a drone, got {self.motion_scale!r}"
+            )
 
 
 @dataclass
@@ -131,12 +147,16 @@ def make_sequence(config: SequenceConfig) -> Sequence:
 
     true_states = [
         NavState(
-            pose=trajectory.pose(float(t)),
-            velocity=trajectory.velocity(float(t)),
+            pose=SE3(rotation, position),
+            velocity=velocity,
             bias_gyro=true_bias_gyro,
             bias_accel=true_bias_accel,
         )
-        for t in timestamps
+        for rotation, position, velocity in zip(
+            trajectory.rotation(timestamps),
+            trajectory.position(timestamps),
+            trajectory.velocity(timestamps),
+        )
     ]
 
     tracker = FeatureTracker(config.camera, landmarks, config.tracker, track_rng)
@@ -145,18 +165,9 @@ def make_sequence(config: SequenceConfig) -> Sequence:
         for frame_id, state in enumerate(true_states)
     ]
 
-    imu_segments = [
-        _synthesize_imu_segment(
-            trajectory,
-            float(timestamps[i]),
-            float(timestamps[i + 1]),
-            config,
-            true_bias_gyro,
-            true_bias_accel,
-            imu_rng,
-        )
-        for i in range(num_keyframes - 1)
-    ]
+    imu_segments = _synthesize_imu(
+        trajectory, timestamps, config, true_bias_gyro, true_bias_accel, imu_rng
+    )
 
     return Sequence(
         config=config,
@@ -170,36 +181,55 @@ def make_sequence(config: SequenceConfig) -> Sequence:
     )
 
 
-def _synthesize_imu_segment(
+def _synthesize_imu(
     trajectory,
-    t_start: float,
-    t_end: float,
+    timestamps: np.ndarray,
     config: SequenceConfig,
     bias_gyro: np.ndarray,
     bias_accel: np.ndarray,
     rng: np.random.Generator,
-) -> ImuSegment:
-    """Sample ideal body-frame IMU readings and corrupt them."""
+) -> list[ImuSegment]:
+    """Sample ideal body-frame IMU readings between keyframes and corrupt them."""
     dt = 1.0 / config.imu_rate
-    count = max(int(round((t_end - t_start) * config.imu_rate)), 1)
-    times = t_start + np.arange(count) * dt
-    gyro = np.empty((count, 3))
-    accel = np.empty((count, 3))
+    starts = [float(t) for t in timestamps[:-1]]
+    counts = [
+        max(int(round((float(t_end) - t_start) * config.imu_rate)), 1)
+        for t_start, t_end in zip(starts, timestamps[1:])
+    ]
+    times = [t_start + np.arange(count) * dt for t_start, count in zip(starts, counts)]
+    # Sample at the interval midpoint so a single Euler step of the
+    # preintegrator stays second-order accurate.
+    midpoints = np.concatenate([np.empty(0), *times]) + 0.5 * dt
+    gyro = np.empty((midpoints.size, 3))
+    accel = np.empty((midpoints.size, 3))
+    for rows in row_blocks(midpoints.size):
+        tm = midpoints[rows]
+        gyro[rows] = trajectory.angular_velocity_body(tm) + bias_gyro
+        world_to_body = np.swapaxes(trajectory.rotation(tm), 1, 2)
+        specific_force = trajectory.acceleration(tm) - GRAVITY
+        accel[rows] = np.matmul(world_to_body, specific_force[:, :, None])[:, :, 0] + bias_accel
+
     noise = config.imu_noise
     gyro_sigma = noise.discrete_gyro_sigma(dt) if noise.gyro_noise > 0 else 0.0
     accel_sigma = noise.discrete_accel_sigma(dt) if noise.accel_noise > 0 else 0.0
-    for i, t in enumerate(times):
-        # Sample at the interval midpoint so a single Euler step of the
-        # preintegrator stays second-order accurate.
-        tm = float(t) + 0.5 * dt
-        rotation = trajectory.rotation(tm)
-        gyro[i] = trajectory.angular_velocity_body(tm) + bias_gyro
-        accel[i] = rotation.T @ (trajectory.acceleration(tm) - GRAVITY) + bias_accel
-        if gyro_sigma > 0.0:
-            gyro[i] += rng.normal(scale=gyro_sigma, size=3)
-        if accel_sigma > 0.0:
-            accel[i] += rng.normal(scale=accel_sigma, size=3)
-    return ImuSegment(timestamps=times, gyro=gyro, accel=accel, dt=dt)
+    noisy = [
+        (out, sigma) for out, sigma in ((gyro, gyro_sigma), (accel, accel_sigma)) if sigma > 0.0
+    ]
+    if noisy:
+        # Per sample: three gyro draws, then three accel draws, the order
+        # a per-sample loop would make them.
+        draws = rng.normal(
+            scale=np.repeat([sigma for _, sigma in noisy], 3),
+            size=(midpoints.size, 3 * len(noisy)),
+        )
+        for column, (out, _) in enumerate(noisy):
+            out += draws[:, 3 * column : 3 * column + 3]
+
+    bounds = np.cumsum(counts)[:-1]
+    return [
+        ImuSegment(timestamps=t, gyro=g, accel=a, dt=dt)
+        for t, g, a in zip(times, np.split(gyro, bounds), np.split(accel, bounds))
+    ]
 
 
 def _euroc_config(name: str, seed: int, motion_scale: float) -> SequenceConfig:

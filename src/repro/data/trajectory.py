@@ -12,49 +12,72 @@ Two families mirror the paper's datasets:
 Each trajectory exposes position/velocity/acceleration in closed form and
 body-frame angular velocity via centered differencing of the rotation log,
 which is everything needed to synthesize ideal IMU samples.
+
+Every method takes a float ``t`` or an ``(n,)`` array of times and returns
+one result per time (``(3,)`` / ``(3, 3)`` for a float, ``(n, 3)`` /
+``(n, 3, 3)`` for an array). An array call equals the stacked float calls
+bit for bit, so a whole sequence can be synthesized at once without moving
+any stored artifact.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.geometry.se3 import SE3
-from repro.geometry.so3 import so3_exp, so3_log
+from repro.geometry.so3 import so3_exp_batch, so3_log_batch
 
 _DIFF_EPS = 1e-4
 
+# Rows per vectorized call when synthesizing many samples: bounds the
+# (n, 3, 3) rotation temporaries so a ~20k-landmark field does not raise
+# peak memory, while keeping per-call overhead negligible.
+BLOCK_ROWS = 1024
+
+
+def row_blocks(count: int) -> Iterator[slice]:
+    """Consecutive ``BLOCK_ROWS``-row slices covering ``range(count)``."""
+    for start in range(0, count, BLOCK_ROWS):
+        yield slice(start, min(start + BLOCK_ROWS, count))
+
+
+def _euler_rotation(yaw, pitch, roll) -> np.ndarray:
+    """``Rz(yaw) @ Ry(pitch) @ Rx(roll)`` for angles of one shape."""
+    zero = np.zeros_like(yaw)
+    rz = so3_exp_batch(np.stack([zero, zero, yaw], axis=-1))
+    ry = so3_exp_batch(np.stack([zero, pitch, zero], axis=-1))
+    rx = so3_exp_batch(np.stack([roll, zero, zero], axis=-1))
+    return np.matmul(np.matmul(rz, ry), rx)
+
 
 class _SmoothTrajectory:
-    """Shared machinery: rotation differencing and pose assembly."""
+    """Finite-difference motion derived from ``position`` and ``rotation``."""
 
-    def position(self, t: float) -> np.ndarray:
+    def position(self, t: float | np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def rotation(self, t: float) -> np.ndarray:
+    def rotation(self, t: float | np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def velocity(self, t: float) -> np.ndarray:
+    def velocity(self, t: float | np.ndarray) -> np.ndarray:
         h = _DIFF_EPS
         return (self.position(t + h) - self.position(t - h)) / (2.0 * h)
 
-    def acceleration(self, t: float) -> np.ndarray:
+    def acceleration(self, t: float | np.ndarray) -> np.ndarray:
         h = _DIFF_EPS
         return (
             self.position(t + h) - 2.0 * self.position(t) + self.position(t - h)
         ) / (h * h)
 
-    def angular_velocity_body(self, t: float) -> np.ndarray:
+    def angular_velocity_body(self, t: float | np.ndarray) -> np.ndarray:
         """Body-frame angular velocity from centered rotation differencing."""
         h = _DIFF_EPS
         r_minus = self.rotation(t - h)
         r_plus = self.rotation(t + h)
-        return so3_log(r_minus.T @ r_plus) / (2.0 * h)
-
-    def pose(self, t: float) -> SE3:
-        return SE3(self.rotation(t), self.position(t))
+        return so3_log_batch(np.matmul(np.swapaxes(r_minus, -1, -2), r_plus)) / (2.0 * h)
 
 
 @dataclass
@@ -86,7 +109,7 @@ class DroneTrajectory(_SmoothTrajectory):
         if self.speed_scale <= 0:
             raise ConfigurationError("speed_scale must be positive")
 
-    def position(self, t: float) -> np.ndarray:
+    def position(self, t: float | np.ndarray) -> np.ndarray:
         w = 2.0 * np.pi * self.speed_scale
         px, py, pz, *_ = self.phases
         # Frequencies chosen so peak accelerations reach the 1-4 m/s^2
@@ -95,15 +118,19 @@ class DroneTrajectory(_SmoothTrajectory):
         x = self.extent[0] * np.sin(w * 0.150 * t + px) * np.cos(w * 0.041 * t)
         y = self.extent[1] * np.sin(w * 0.122 * t + py)
         z = self.base_height + self.extent[2] * np.sin(w * 0.197 * t + pz)
-        return np.array([x, y, z])
+        return np.stack([x, y, z], axis=-1)
 
-    def rotation(self, t: float) -> np.ndarray:
+    def rotation(self, t: float | np.ndarray) -> np.ndarray:
         w = 2.0 * np.pi * self.speed_scale
         _, _, _, qa, qb, qc = self.phases
         yaw = 0.8 * np.sin(w * 0.071 * t + qa) + 0.3 * np.sin(w * 0.183 * t + qb)
         pitch = 0.12 * np.sin(w * 0.253 * t + qc)
         roll = 0.10 * np.sin(w * 0.211 * t + qa + qb)
-        return so3_exp([0.0, 0.0, yaw]) @ so3_exp([0.0, pitch, 0.0]) @ so3_exp([roll, 0.0, 0.0])
+        return _euler_rotation(yaw, pitch, roll)
+
+
+# Step of the car's heading quadrature [s].
+_GRID_DT = 0.01
 
 
 @dataclass
@@ -120,95 +147,93 @@ class CarTrajectory(_SmoothTrajectory):
     speed: float = 10.0
     turn_scale: float = 1.0
     phases: np.ndarray = field(default_factory=lambda: np.zeros(4))
+    # Planar position at every quadrature grid point: row k is the
+    # midpoint-rule integral over [0, k * _GRID_DT]. Extended on demand;
+    # a prefix sum does not depend on how far it runs, so neither do the
+    # positions read from it.
+    _grid: np.ndarray = field(
+        default_factory=lambda: np.zeros((1, 3)), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.phases = np.asarray(self.phases, dtype=float).reshape(4)
         if self.speed <= 0:
             raise ConfigurationError("speed must be positive")
 
-    def _heading(self, t: float) -> float:
+    def _heading(self, t: float | np.ndarray) -> np.ndarray:
         """Closed-form heading angle at time t."""
         p0, p1, _, _ = self.phases
         return self.turn_scale * (
             0.9 * np.sin(0.05 * t + p0) + 0.5 * np.sin(0.021 * t + p1)
         )
 
-    def _heading_rate(self, t: float) -> float:
+    def _heading_rate(self, t: float | np.ndarray) -> np.ndarray:
         """Analytic time derivative of the heading."""
         p0, p1, _, _ = self.phases
         return self.turn_scale * (
             0.9 * 0.05 * np.cos(0.05 * t + p0) + 0.5 * 0.021 * np.cos(0.021 * t + p1)
         )
 
-    def position(self, t: float) -> np.ndarray:
-        # Integrate dx = v cos(heading), dy = v sin(heading) in closed
-        # form is impossible for our heading; use a fine fixed-step
-        # cached quadrature instead.
-        return self._integrated_position(t)
+    def _grid_positions(self, last: int) -> np.ndarray:
+        """The quadrature grid, extended to cover index ``last``."""
+        if last >= len(self._grid):
+            size = max(last + 1, 2 * len(self._grid))
+            # The midpoint rule keeps the quadrature error at O(dt^3) per
+            # step, so the path stays consistent with the analytic IMU
+            # acceleration.
+            heading = self._heading((np.arange(size - 1) + 0.5) * _GRID_DT)
+            steps = (
+                self.speed
+                * _GRID_DT
+                * np.stack([np.cos(heading), np.sin(heading), np.zeros_like(heading)], axis=-1)
+            )
+            grid = np.zeros((size, 3))
+            np.cumsum(steps, axis=0, out=grid[1:])
+            self._grid = grid
+        return self._grid
 
-    # Quadrature cache: heading integrals evaluated on a fine grid once.
-    _grid_dt: float = 0.01
-    _cache: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-
-    def _integrated_position(self, t: float) -> np.ndarray:
+    def position(self, t: float | np.ndarray) -> np.ndarray:
+        # Integrating dx = v cos(heading), dy = v sin(heading) in closed
+        # form is impossible for our heading; read the quadrature grid and
+        # complete the last partial step with the midpoint rule.
         _, _, p2, _ = self.phases
-        n = int(np.floor(t / self._grid_dt))
-        base = self._position_at_grid(n)
-        # Midpoint-rule completion within the last partial step.
-        remainder = t - n * self._grid_dt
-        heading = self._heading(n * self._grid_dt + 0.5 * remainder)
-        step = self.speed * remainder * np.array([np.cos(heading), np.sin(heading), 0.0])
-        z = 1.2 + 0.8 * np.sin(0.017 * t + p2)
+        n = np.floor(t / _GRID_DT).astype(np.int64)
+        index = np.maximum(n, 0)
+        base = self._grid_positions(int(np.max(index, initial=0)))[index]
+        remainder = t - n * _GRID_DT
+        heading = self._heading(n * _GRID_DT + 0.5 * remainder)
+        step = (self.speed * remainder)[..., None] * np.stack(
+            [np.cos(heading), np.sin(heading), np.zeros_like(heading)], axis=-1
+        )
         out = base + step
-        out[2] = z
+        out[..., 2] = 1.2 + 0.8 * np.sin(0.017 * t + p2)
         return out
 
-    def _position_at_grid(self, n: int) -> np.ndarray:
-        if n <= 0:
-            return np.zeros(3)
-        if n in self._cache:
-            return self._cache[n].copy()
-        # Build forward from the largest cached index using the midpoint
-        # rule, which keeps the quadrature error at O(dt^3) per step so
-        # the path stays consistent with the analytic IMU acceleration.
-        start = max((k for k in self._cache if k < n), default=0)
-        pos = self._cache.get(start, np.zeros(3)).copy()
-        for k in range(start, n):
-            heading = self._heading((k + 0.5) * self._grid_dt)
-            pos += (
-                self.speed
-                * self._grid_dt
-                * np.array([np.cos(heading), np.sin(heading), 0.0])
-            )
-            if (k + 1) % 100 == 0:
-                self._cache[k + 1] = pos.copy()
-        self._cache[n] = pos.copy()
-        return pos.copy()
-
-    def velocity(self, t: float) -> np.ndarray:
+    def velocity(self, t: float | np.ndarray) -> np.ndarray:
         _, _, p2, _ = self.phases
         heading = self._heading(t)
         vz = 0.8 * 0.017 * np.cos(0.017 * t + p2)
-        return np.array(
-            [self.speed * np.cos(heading), self.speed * np.sin(heading), vz]
+        return np.stack(
+            [self.speed * np.cos(heading), self.speed * np.sin(heading), vz], axis=-1
         )
 
-    def acceleration(self, t: float) -> np.ndarray:
+    def acceleration(self, t: float | np.ndarray) -> np.ndarray:
         _, _, p2, _ = self.phases
         heading = self._heading(t)
         rate = self._heading_rate(t)
         az = -0.8 * 0.017 * 0.017 * np.sin(0.017 * t + p2)
-        return np.array(
+        return np.stack(
             [
                 -self.speed * rate * np.sin(heading),
                 self.speed * rate * np.cos(heading),
                 az,
-            ]
+            ],
+            axis=-1,
         )
 
-    def rotation(self, t: float) -> np.ndarray:
+    def rotation(self, t: float | np.ndarray) -> np.ndarray:
         _, _, _, p3 = self.phases
         yaw = self._heading(t)
         pitch = 0.02 * np.sin(0.05 * t + p3)
         roll = 0.015 * np.sin(0.073 * t + p3)
-        return so3_exp([0.0, 0.0, yaw]) @ so3_exp([0.0, pitch, 0.0]) @ so3_exp([roll, 0.0, 0.0])
+        return _euler_rotation(yaw, pitch, roll)

@@ -85,6 +85,69 @@ def so3_log(rotation: np.ndarray) -> np.ndarray:
     return theta / (2.0 * np.sin(theta)) * vee(rotation - rotation.T)
 
 
+def _row_norms(vectors: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each ``(n, 3)`` row, bit for bit.
+
+    A matmul with a 1x1 result runs the same dot kernel ``norm`` uses on a
+    single vector; a sum of squares would round in another order.
+    """
+    return np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None])[:, 0, 0])
+
+
+def so3_exp_batch(omegas: np.ndarray) -> np.ndarray:
+    """Element-wise :func:`so3_exp`: ``(..., 3)`` vectors to ``(..., 3, 3)``.
+
+    Bit-identical to stacked :func:`so3_exp` calls: same arithmetic, with
+    the small-angle branch selected by mask.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    rows = omegas.reshape(-1, 3)
+    theta = _row_norms(rows)
+    small = theta < _SMALL_ANGLE
+    safe = np.where(small, 1.0, theta)
+    # 1.0 * skew is exactly skew, so the small-angle rows reduce to the
+    # scalar Taylor branch.
+    a = np.where(small, 1.0, np.sin(safe) / safe)[:, None, None]
+    b = np.where(small, 0.5, (1.0 - np.cos(safe)) / (safe * safe))[:, None, None]
+    skew = hat_batch(rows)
+    out = np.eye(3) + a * skew + b * np.matmul(skew, skew)
+    return out.reshape(omegas.shape[:-1] + (3, 3))
+
+
+def so3_log_batch(rotations: np.ndarray) -> np.ndarray:
+    """Element-wise :func:`so3_log`: ``(..., 3, 3)`` rotations to ``(..., 3)``.
+
+    Bit-identical to stacked :func:`so3_log` calls: same arithmetic, with
+    the small-angle and near-pi branches selected by mask.
+    """
+    rotations = np.asarray(rotations, dtype=float)
+    mats = rotations.reshape(-1, 3, 3)
+    cos_theta = np.clip((np.trace(mats, axis1=1, axis2=2) - 1.0) / 2.0, -1.0, 1.0)
+    theta = np.arccos(cos_theta)
+    skew = mats - np.swapaxes(mats, 1, 2)
+    vees = np.stack([skew[:, 2, 1], skew[:, 0, 2], skew[:, 1, 0]], axis=1)
+    small = theta < _SMALL_ANGLE
+    near_pi = ~small & (np.pi - theta < 1e-6)
+    generic = ~(small | near_pi)
+    out = np.empty_like(vees)
+    out[small] = vees[small] / 2.0
+    out[generic] = (theta[generic] / (2.0 * np.sin(theta[generic])))[:, None] * vees[generic]
+    if near_pi.any():
+        symmetric = (mats[near_pi] + np.eye(3)) / 2.0
+        axis = np.sqrt(np.clip(np.diagonal(symmetric, axis1=1, axis2=2), 0.0, None))
+        k = np.argmax(axis, axis=1)
+        rows = np.arange(k.size)
+        # Fix the signs using the largest component as reference.
+        flip = (
+            (axis[rows, k] > 0.0)[:, None]
+            & (symmetric[rows, k, :] < 0.0)
+            & (np.arange(3) != k[:, None])
+        )
+        axis = np.where(flip, -axis, axis)
+        out[near_pi] = theta[near_pi][:, None] * axis / _row_norms(axis)[:, None]
+    return out.reshape(rotations.shape[:-2] + (3,))
+
+
 def quat_normalize(quat: np.ndarray) -> np.ndarray:
     """Normalize a quaternion (w, x, y, z), fixing the sign so w >= 0.
 

@@ -1,5 +1,7 @@
 """Tests for synthetic sequence generation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,16 @@ from repro.data import (
     make_kitti_sequence,
     make_sequence,
 )
-from repro.data.sequences import _synthesize_imu_segment  # noqa: F401 (API surface)
+from repro.data.io import sequence_to_arrays
+from repro.data.landmarks import density_profile
+from repro.data.sequences import ImuSegment, Sequence, _make_trajectory
+from repro.data.tracks import FeatureTracker
+from repro.geometry.navstate import NavState
+from repro.geometry.se3 import SE3
+from repro.imu.noise import ImuNoise
+from repro.imu.preintegration import GRAVITY
+from repro.scenarios.builders import scenario_sequence_config
+from repro.utils.rng import rng_from_seed, split_seed
 
 
 class TestSequenceConfig:
@@ -23,6 +34,21 @@ class TestSequenceConfig:
     def test_rejects_low_imu_rate(self):
         with pytest.raises(ConfigurationError):
             SequenceConfig(imu_rate=5.0, keyframe_rate=5.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("landmark_count", 0),
+            ("density_period", 0.0),
+            ("density_period", -5.0),
+            ("density_floor", 0.0),
+            ("density_floor", 1.5),
+            ("motion_scale", 0.0),
+        ],
+    )
+    def test_rejects_invalid_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SequenceConfig(kind="drone", **{field: value})
 
     def test_catalogs_complete(self):
         assert sorted(EUROC_SEQUENCES) == [f"MH_0{i}" for i in range(1, 6)]
@@ -96,3 +122,94 @@ class TestSequenceGeneration:
         seq = make_sequence(config)
         assert seq.config.name == "tiny"
         assert seq.num_keyframes == 11
+
+
+def _reference_sequence(config: SequenceConfig) -> Sequence:
+    """Per-sample synthesis from float trajectory calls: the loops that
+    batched synthesis replaced, kept as the reference it must match."""
+
+    def stream(label):
+        return rng_from_seed(split_seed(config.seed, f"{config.name}:{label}"))
+
+    land_rng, track_rng, imu_rng = stream("landmarks"), stream("tracks"), stream("imu")
+    trajectory = _make_trajectory(config, stream("trajectory"))
+    # forward, lateral, vertical
+    spreads = (4.0, 4.0, 2.0) if config.kind == "drone" else (6.0, 14.0, 4.0)
+    density = density_profile(config.density_period, config.density_floor)
+
+    anchors = land_rng.uniform(0.0, config.duration, size=config.landmark_count)
+    keep = land_rng.uniform(size=config.landmark_count) < np.array([density(t) for t in anchors])
+    landmarks = np.empty((int(keep.sum()), 3))
+    for i, t in enumerate(anchors[keep]):
+        offset = np.array([land_rng.normal(scale=spread) for spread in spreads])
+        landmarks[i] = trajectory.position(float(t)) + trajectory.rotation(float(t)) @ offset
+
+    num_keyframes = int(np.floor(config.duration * config.keyframe_rate)) + 1
+    timestamps = np.arange(num_keyframes) / config.keyframe_rate
+    bias_gyro = imu_rng.normal(scale=2e-3, size=3)
+    bias_accel = imu_rng.normal(scale=2e-2, size=3)
+    states = [
+        NavState(
+            pose=SE3(trajectory.rotation(float(t)), trajectory.position(float(t))),
+            velocity=trajectory.velocity(float(t)),
+            bias_gyro=bias_gyro,
+            bias_accel=bias_accel,
+        )
+        for t in timestamps
+    ]
+    tracker = FeatureTracker(config.camera, landmarks, config.tracker, track_rng)
+    observations = [tracker.observe(i, state.pose) for i, state in enumerate(states)]
+
+    dt = 1.0 / config.imu_rate
+    noise = config.imu_noise
+    gyro_sigma = noise.discrete_gyro_sigma(dt) if noise.gyro_noise > 0 else 0.0
+    accel_sigma = noise.discrete_accel_sigma(dt) if noise.accel_noise > 0 else 0.0
+    segments = []
+    for t_start, t_end in zip(timestamps[:-1], timestamps[1:]):
+        count = max(int(round((float(t_end) - float(t_start)) * config.imu_rate)), 1)
+        times = float(t_start) + np.arange(count) * dt
+        gyro, accel = np.empty((count, 3)), np.empty((count, 3))
+        for i, t in enumerate(times):
+            tm = float(t) + 0.5 * dt
+            gyro[i] = trajectory.angular_velocity_body(tm) + bias_gyro
+            accel[i] = (
+                trajectory.rotation(tm).T @ (trajectory.acceleration(tm) - GRAVITY) + bias_accel
+            )
+            if gyro_sigma > 0.0:
+                gyro[i] += imu_rng.normal(scale=gyro_sigma, size=3)
+            if accel_sigma > 0.0:
+                accel[i] += imu_rng.normal(scale=accel_sigma, size=3)
+        segments.append(ImuSegment(timestamps=times, gyro=gyro, accel=accel, dt=dt))
+    return Sequence(
+        config, timestamps, states, observations, segments, landmarks, bias_gyro, bias_accel
+    )
+
+
+_REFERENCE_CONFIGS = {
+    "drone": replace(EUROC_SEQUENCES["MH_04"], duration=3.0),
+    "car": replace(KITTI_SEQUENCES["06"], duration=3.0, landmark_count=4000),
+    "no-imu-noise": SequenceConfig(
+        name="quiet", seed=3, duration=2.0, imu_noise=ImuNoise(gyro_noise=0.0, accel_noise=0.0)
+    ),
+    "accel-noise-only": SequenceConfig(
+        name="gyro-clean", seed=4, duration=2.0, imu_noise=ImuNoise(gyro_noise=0.0)
+    ),
+    # Every candidate kept: more landmarks than several row blocks.
+    "multi-block": SequenceConfig(
+        name="dense", seed=5, duration=2.0, landmark_count=3500, density_floor=1.0
+    ),
+    "tunnel": scenario_sequence_config("tunnel", 1, duration=2.0),
+    "loop_closure": scenario_sequence_config("loop_closure", 2, duration=2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_CONFIGS))
+def test_batched_synthesis_matches_per_sample_reference(name):
+    config = _REFERENCE_CONFIGS[name]
+    actual = sequence_to_arrays(make_sequence(config))
+    expected = sequence_to_arrays(_reference_sequence(config))
+    assert actual.keys() == expected.keys()
+    for key, value in expected.items():
+        assert actual[key].dtype == value.dtype, key
+        assert actual[key].shape == value.shape, key
+        assert actual[key].tobytes() == value.tobytes(), key

@@ -8,6 +8,87 @@ from hypothesis import strategies as st
 from repro.data.landmarks import density_profile, make_landmarks
 from repro.data.trajectory import CarTrajectory, DroneTrajectory
 from repro.errors import ConfigurationError
+from repro.geometry.so3 import so3_exp, so3_exp_batch, so3_log, so3_log_batch
+
+# Query times: t = 0, the car's quadrature grid points (multiples of
+# 0.01 s), arbitrary floats including negative ones, in any order.
+_TIMES = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.integers(min_value=0, max_value=6000).map(lambda k: k * 0.01),
+        st.floats(min_value=-1.0, max_value=60.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+_TRAJECTORIES = {
+    "drone": lambda: DroneTrajectory(speed_scale=1.3, phases=np.linspace(0.3, 2.4, 6)),
+    "car": lambda: CarTrajectory(turn_scale=0.8, phases=np.array([0.1, 0.9, 1.7, 2.4])),
+}
+
+
+class TestArrayCalls:
+    """An array of times gives the stacked float calls, bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(_TRAJECTORIES))
+    @pytest.mark.parametrize(
+        "method",
+        ["position", "rotation", "velocity", "acceleration", "angular_velocity_body"],
+    )
+    @given(times=_TIMES)
+    @settings(max_examples=25, deadline=None)
+    def test_trajectory_methods(self, kind, method, times):
+        batched = getattr(_TRAJECTORIES[kind](), method)(np.array(times))
+        # One instance answers the float calls in query order, so the car's
+        # grid grows in a different pattern than for the array call.
+        scalar = getattr(_TRAJECTORIES[kind](), method)
+        stacked = np.stack([scalar(t) for t in times])
+        assert batched.shape == stacked.shape
+        assert batched.tobytes() == stacked.tobytes()
+
+    @given(times=_TIMES)
+    @settings(max_examples=25, deadline=None)
+    def test_density_profile(self, times):
+        profile = density_profile(period=25.0, floor=0.12)
+        stacked = np.array([profile(t) for t in times])
+        assert profile(np.array(times)).tobytes() == stacked.tobytes()
+
+
+_AXES = st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3).filter(
+    lambda v: np.linalg.norm(v) > 1e-3
+)
+# Angles in so3_log's small-angle branch, its near-pi branch, and between.
+_ANGLES = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-14, max_value=1e-9),
+    st.floats(min_value=0.0, max_value=np.pi),
+    st.floats(min_value=1e-12, max_value=1e-7).map(lambda d: np.pi - d),
+)
+
+
+class TestSo3Batch:
+    @given(st.lists(st.tuples(_AXES, _ANGLES), min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_exp_and_log_match_scalar(self, pairs):
+        omegas = np.array([np.array(axis) / np.linalg.norm(axis) * angle for axis, angle in pairs])
+        rotations = so3_exp_batch(omegas)
+        assert rotations.tobytes() == np.stack([so3_exp(w) for w in omegas]).tobytes()
+        logs = so3_log_batch(rotations)
+        assert logs.tobytes() == np.stack([so3_log(r) for r in rotations]).tobytes()
+
+    def test_log_branches(self):
+        rotations = np.stack(
+            [
+                np.eye(3),  # small angle
+                np.diag([1.0, -1.0, -1.0]),  # exactly pi
+                so3_exp(np.array([0.0, 0.6, -0.8]) * (np.pi - 1e-9)),  # near pi
+                so3_exp(np.array([0.3, 0.2, 0.1])),  # generic
+            ]
+        )
+        stacked = np.stack([so3_log(r) for r in rotations])
+        assert so3_log_batch(rotations).tobytes() == stacked.tobytes()
+        assert so3_log_batch(rotations.reshape(2, 2, 3, 3)).shape == (2, 2, 3)
 
 
 class TestDroneTrajectory:
