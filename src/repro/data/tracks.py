@@ -65,27 +65,37 @@ class FrameObservations:
         return len(self.pixels)
 
 
-def visible_landmark_indices(
+def project_landmarks(
     camera: PinholeCamera, pose: SE3, landmarks: np.ndarray
-) -> np.ndarray:
-    """Vectorized visibility test: indices of landmarks inside the image."""
-    points_c = (landmarks - pose.translation) @ pose.rotation
-    z = points_c[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = camera.fx * points_c[:, 0] / z + camera.cx
-        v = camera.fy * points_c[:, 1] / z + camera.cy
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project every landmark once: ``(M, 2)`` pixels and visible indices.
+
+    The two steps :meth:`PinholeCamera.project` takes for one point, over
+    all rows, so a visible row is the pixel a per-point projection returns
+    (docs/performance.md); rows behind the camera hold meaningless numbers.
+    """
+    points_c = pose.transform_to_body(landmarks)
+    pixels = camera.project_camera_points_batch(points_c)
+    u, v = pixels[:, 0], pixels[:, 1]
     ok = (
-        (z >= camera.min_depth)
+        (points_c[:, 2] >= camera.min_depth)
         & (u >= 0.0)
         & (u < camera.width)
         & (v >= 0.0)
         & (v < camera.height)
     )
-    return np.flatnonzero(ok)
+    return pixels, np.flatnonzero(ok)
 
 
 class FeatureTracker:
-    """Stateful simulated tracker over a fixed landmark field."""
+    """Stateful simulated tracker over a fixed landmark field.
+
+    Per keyframe it draws, in order: a drop uniform per continued track
+    (in the tracked-and-visible set's iteration order), ``choice`` when the
+    budget is short, then per observation in id order the outlier draws,
+    if on, and the pixel noise. The block draws in :meth:`observe` make
+    exactly these scalar draws.
+    """
 
     def __init__(
         self,
@@ -102,41 +112,41 @@ class FeatureTracker:
 
     def observe(self, frame_id: int, true_pose: SE3) -> FrameObservations:
         """Produce the noisy observations of one keyframe and update tracks."""
-        visible = set(visible_landmark_indices(self.camera, true_pose, self.landmarks).tolist())
+        config, rng = self.config, self._rng
+        projected, visible_ids = project_landmarks(self.camera, true_pose, self.landmarks)
+        visible = set(visible_ids.tolist())
 
-        # Continue existing tracks that remain visible (modulo drops).
-        survivors = set()
-        for fid in self._active & visible:
-            if self._rng.uniform() >= self.config.drop_probability:
-                survivors.add(fid)
+        # Continue existing tracks that remain visible (modulo drops). The
+        # set's iteration order is the draw order, and survivors are added
+        # in that order too: their layout orders the next frame's draws.
+        tracked = list(self._active & visible)
+        kept = (rng.uniform(size=len(tracked)) >= config.drop_probability).tolist()
+        survivors = {fid for fid, keep in zip(tracked, kept) if keep}
 
         # Top up with fresh detections, preferring untracked landmarks.
-        budget = self.config.max_features - len(survivors)
+        budget = config.max_features - len(survivors)
         if budget > 0:
             candidates = np.array(sorted(visible - survivors), dtype=int)
             if candidates.size > budget:
-                candidates = self._rng.choice(candidates, size=budget, replace=False)
-            survivors.update(int(c) for c in candidates)
+                candidates = rng.choice(candidates, size=budget, replace=False)
+            survivors.update(candidates.tolist())
 
-        observations = FrameObservations(frame_id)
-        for fid in sorted(survivors):
-            if (
-                self.config.outlier_probability > 0.0
-                and self._rng.uniform() < self.config.outlier_probability
-            ):
-                # Gross mismatch: the tracker latched onto the wrong
-                # image patch somewhere in the frame.
-                pixel = np.array(
-                    [
-                        self._rng.uniform(0.0, self.camera.width),
-                        self._rng.uniform(0.0, self.camera.height),
-                    ]
-                )
-            else:
-                pixel = np.array(
-                    self.camera.project(true_pose, self.landmarks[fid]), dtype=float
-                )
-                pixel += self._rng.normal(scale=self.config.pixel_sigma, size=2)
-            observations.pixels[fid] = pixel
+        ids = sorted(survivors)
+        pixels = projected[ids]
+        if config.outlier_probability > 0.0:
+            # Whether a feature's next two draws are uniforms (outlier)
+            # or normals (noise) depends on its first draw.
+            for row in range(len(ids)):
+                if rng.uniform() < config.outlier_probability:
+                    # Gross mismatch: the tracker latched onto the wrong
+                    # image patch somewhere in the frame.
+                    pixels[row] = (
+                        rng.uniform(0.0, self.camera.width),
+                        rng.uniform(0.0, self.camera.height),
+                    )
+                else:
+                    pixels[row] += rng.normal(scale=config.pixel_sigma, size=2)
+        else:
+            pixels += rng.normal(scale=config.pixel_sigma, size=(len(ids), 2))
         self._active = survivors
-        return observations
+        return FrameObservations(frame_id, dict(zip(ids, pixels)))

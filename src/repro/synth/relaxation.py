@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
+from types import ModuleType
 
 import numpy as np
-from scipy.optimize import NonlinearConstraint, minimize
 
 from repro.errors import InfeasibleDesignError
 from repro.hw.config import HardwareConfig, ND_RANGE, NM_RANGE, S_RANGE
@@ -84,8 +84,13 @@ def relaxation_search(
     power_model: PowerModel = DEFAULT_POWER_MODEL,
 ) -> SearchOutcome:
     """Solve Equ. 11 by continuous relaxation + rounding + local repair."""
+    # Loaded here, outside the timed span, not at module import:
+    # scipy.optimize brings scipy.sparse, .spatial and .special with it
+    # (~20 MiB RSS in every process), and only this solver uses it.
+    from scipy import optimize
+
     with global_trace().span("relaxation_search", category="synth") as span:
-        outcome = _solve(spec, resource_model, power_model)
+        outcome = _solve(spec, resource_model, power_model, optimize)
     return replace(outcome, solve_seconds=span.duration_s)
 
 
@@ -93,6 +98,7 @@ def _solve(
     spec: DesignSpec,
     resource_model: ResourceModel,
     power_model: PowerModel,
+    optimize: ModuleType,
 ) -> SearchOutcome:
     latency = _ContinuousLatency(spec)
 
@@ -126,13 +132,13 @@ def _solve(
         (float(S_RANGE[0]), float(S_RANGE[1])),
     ]
     constraints = [
-        NonlinearConstraint(
+        optimize.NonlinearConstraint(
             lambda x: spec.latency_budget_s - latency.seconds(x), 0.0, np.inf
         ),
-        NonlinearConstraint(resource_slack, 0.0, np.inf),
+        optimize.NonlinearConstraint(resource_slack, 0.0, np.inf),
     ]
     x0 = np.array([b[1] for b in bounds])  # start feasible-in-latency
-    solution = minimize(
+    solution = optimize.minimize(
         power_of,
         x0,
         method="SLSQP",

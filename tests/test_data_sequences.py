@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.data import (
@@ -17,9 +19,11 @@ from repro.data import (
 from repro.data.io import sequence_to_arrays
 from repro.data.landmarks import density_profile
 from repro.data.sequences import ImuSegment, Sequence, _make_trajectory
-from repro.data.tracks import FeatureTracker
+from repro.data.tracks import FeatureTracker, FrameObservations, TrackerConfig
+from repro.geometry.camera import PinholeCamera
 from repro.geometry.navstate import NavState
 from repro.geometry.se3 import SE3
+from repro.geometry.so3 import so3_exp
 from repro.imu.noise import ImuNoise
 from repro.imu.preintegration import GRAVITY
 from repro.scenarios.builders import scenario_sequence_config
@@ -124,6 +128,65 @@ class TestSequenceGeneration:
         assert seq.num_keyframes == 11
 
 
+def _visible_landmark_indices(camera, pose, landmarks):
+    """Indices of landmarks inside the image (the pre-batching helper)."""
+    points_c = (landmarks - pose.translation) @ pose.rotation
+    z = points_c[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = camera.fx * points_c[:, 0] / z + camera.cx
+        v = camera.fy * points_c[:, 1] / z + camera.cy
+    ok = (
+        (z >= camera.min_depth)
+        & (u >= 0.0)
+        & (u < camera.width)
+        & (v >= 0.0)
+        & (v < camera.height)
+    )
+    return np.flatnonzero(ok)
+
+
+class _ReferenceTracker(FeatureTracker):
+    """Per-feature ``observe``: one projection, one drop draw and one noise
+    draw per feature. The loops the batched tracker replaced, kept as the
+    reference it must match."""
+
+    def observe(self, frame_id, true_pose):
+        visible = set(_visible_landmark_indices(self.camera, true_pose, self.landmarks).tolist())
+
+        survivors = set()
+        for fid in self._active & visible:
+            if self._rng.uniform() >= self.config.drop_probability:
+                survivors.add(fid)
+
+        budget = self.config.max_features - len(survivors)
+        if budget > 0:
+            candidates = np.array(sorted(visible - survivors), dtype=int)
+            if candidates.size > budget:
+                candidates = self._rng.choice(candidates, size=budget, replace=False)
+            survivors.update(int(c) for c in candidates)
+
+        observations = FrameObservations(frame_id)
+        for fid in sorted(survivors):
+            if (
+                self.config.outlier_probability > 0.0
+                and self._rng.uniform() < self.config.outlier_probability
+            ):
+                pixel = np.array(
+                    [
+                        self._rng.uniform(0.0, self.camera.width),
+                        self._rng.uniform(0.0, self.camera.height),
+                    ]
+                )
+            else:
+                pixel = np.array(
+                    self.camera.project(true_pose, self.landmarks[fid]), dtype=float
+                )
+                pixel += self._rng.normal(scale=self.config.pixel_sigma, size=2)
+            observations.pixels[fid] = pixel
+        self._active = survivors
+        return observations
+
+
 def _reference_sequence(config: SequenceConfig) -> Sequence:
     """Per-sample synthesis from float trajectory calls: the loops that
     batched synthesis replaced, kept as the reference it must match."""
@@ -157,7 +220,7 @@ def _reference_sequence(config: SequenceConfig) -> Sequence:
         )
         for t in timestamps
     ]
-    tracker = FeatureTracker(config.camera, landmarks, config.tracker, track_rng)
+    tracker = _ReferenceTracker(config.camera, landmarks, config.tracker, track_rng)
     observations = [tracker.observe(i, state.pose) for i, state in enumerate(states)]
 
     dt = 1.0 / config.imu_rate
@@ -200,6 +263,13 @@ _REFERENCE_CONFIGS = {
     ),
     "tunnel": scenario_sequence_config("tunnel", 1, duration=2.0),
     "loop_closure": scenario_sequence_config("loop_closure", 2, duration=2.0),
+    "aggressive": scenario_sequence_config("aggressive", 0, duration=2.0),
+    "highway": scenario_sequence_config("highway", 3, duration=2.0),
+    # The tracker's data-dependent branch: an outlier draws two uniforms
+    # where an inlier draws two normals.
+    "outliers": SequenceConfig(
+        name="gross", seed=6, duration=2.0, tracker=TrackerConfig(outlier_probability=0.1)
+    ),
 }
 
 
@@ -213,3 +283,47 @@ def test_batched_synthesis_matches_per_sample_reference(name):
         assert actual[key].dtype == value.dtype, key
         assert actual[key].shape == value.shape, key
         assert actual[key].tobytes() == value.tobytes(), key
+
+
+_TRACKER_CONFIGS = st.builds(
+    TrackerConfig,
+    max_features=st.integers(min_value=1, max_value=80),
+    pixel_sigma=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)),
+    drop_probability=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.9)),
+    outlier_probability=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5)),
+)
+
+
+@given(
+    config=_TRACKER_CONFIGS,
+    num_landmarks=st.integers(min_value=0, max_value=200),
+    num_frames=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(config=TrackerConfig(drop_probability=0.0), num_landmarks=150, num_frames=4, seed=1)
+@example(config=TrackerConfig(pixel_sigma=0.0), num_landmarks=150, num_frames=4, seed=2)
+@example(config=TrackerConfig(outlier_probability=0.3), num_landmarks=150, num_frames=4, seed=3)
+@example(config=TrackerConfig(max_features=5), num_landmarks=150, num_frames=4, seed=4)
+@example(config=TrackerConfig(), num_landmarks=0, num_frames=3, seed=5)
+@settings(max_examples=40, deadline=None)
+def test_tracker_matches_per_feature_reference(config, num_landmarks, num_frames, seed):
+    """Same pixel bytes, key order, track-set order and RNG state as the
+    per-feature loops, frame after frame."""
+    field = np.random.default_rng([seed, 0])
+    landmarks = field.uniform((-6.0, -4.0, -1.0), (6.0, 4.0, 12.0), size=(num_landmarks, 3))
+    poses = [
+        SE3(so3_exp(field.normal(scale=0.1, size=3)), field.normal(scale=0.5, size=3))
+        for _ in range(num_frames)
+    ]
+    camera = PinholeCamera()
+    batched = FeatureTracker(camera, landmarks, config, np.random.default_rng([seed, 1]))
+    reference = _ReferenceTracker(camera, landmarks, config, np.random.default_rng([seed, 1]))
+    for frame_id, pose in enumerate(poses):
+        actual, expected = batched.observe(frame_id, pose), reference.observe(frame_id, pose)
+        assert actual.frame_id == expected.frame_id
+        assert list(actual.pixels) == list(expected.pixels)
+        for fid, pixel in expected.pixels.items():
+            assert actual.pixels[fid].dtype == pixel.dtype
+            assert actual.pixels[fid].tobytes() == pixel.tobytes()
+        assert list(batched._active) == list(reference._active)
+    assert batched._rng.bit_generator.state == reference._rng.bit_generator.state

@@ -1,5 +1,10 @@
 """Tests for trace-driven co-simulation and the relaxation solver."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.data import make_euroc_sequence
@@ -84,3 +89,26 @@ class TestRelaxationSolver:
         spec = DesignSpec(latency_budget_s=0.030)
         outcome = relaxation_search(spec)
         assert outcome.solve_seconds < 3.0
+
+    def test_scipy_optimize_loads_only_with_the_solver(self):
+        """Serving, the estimator and the engine leave scipy.optimize (and
+        the scipy.sparse/.spatial/.special it brings) out of every process;
+        the relaxation solver loads it on first use."""
+        code = (
+            "import sys\n"
+            "import repro.serve, repro.slam.estimator, repro.engine\n"
+            "from repro.synth import DesignSpec, relaxation_search\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "relaxation_search(DesignSpec(latency_budget_s=0.030))\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == ["False", "True"]
