@@ -10,7 +10,8 @@ One tracer and one metrics registry shared by every layer of the stack:
   serve tier re-exports it), collected in a :class:`MetricsRegistry`
   with Prometheus text dumps and a canonical ``OBS_METRICS.json``;
 * ``python -m repro.obs report <trace.jsonl>`` — per-category latency
-  rollup; ``validate`` checks a Chrome export against the schema.
+  rollup; ``validate`` checks a Chrome export, or a JSON artifact
+  listed in :data:`repro.obs.validate.ARTIFACTS`, against its schema.
 
 See ``docs/observability.md`` for the full tour.
 """

@@ -4,12 +4,10 @@
 ``report`` prints the per-category latency rollup of a JSONL trace;
 ``validate`` checks a JSON artifact against its schema and exits
 nonzero on any problem. The artifact kind is detected from its content:
-a ``traceEvents`` array is a Chrome ``trace_event`` export (the gate CI
-applies to the serve smoke trace); a ``schema: "repro.scenarios/..."``
-marker is a scenario-matrix ``SCENARIOS.json`` report (the gate the
-``scenario-matrix`` CI job applies); a ``schema: "repro.portfolio/..."``
-marker is a portfolio-solve ``PORTFOLIO.json`` report (gated by the
-``portfolio-smoke`` CI job).
+a ``schema`` marker selects its entry in
+:data:`repro.obs.validate.ARTIFACTS` (the help text lists them); anything
+else is checked as a Chrome ``trace_event`` export (the gate CI applies
+to the serve smoke trace).
 """
 
 from __future__ import annotations
@@ -21,16 +19,7 @@ from pathlib import Path
 
 from repro.obs.report import render_rollup
 from repro.obs.tracer import Trace, validate_chrome_trace
-from repro.obs.validate import (
-    POLICY_EVAL_SCHEMA_PREFIX,
-    POLICY_SCHEMA_PREFIX,
-    PORTFOLIO_SCHEMA_PREFIX,
-    SCENARIO_SCHEMA_PREFIX,
-    validate_policy_artifact,
-    validate_policy_eval,
-    validate_portfolio_report,
-    validate_scenario_report,
-)
+from repro.obs.validate import ARTIFACTS, find_schema
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,14 +34,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("trace", metavar="TRACE.jsonl", help="flat JSONL trace file")
 
+    kinds = ", ".join(ARTIFACTS)
     validate = commands.add_parser(
-        "validate",
-        help="validate a JSON artifact (Chrome trace or SCENARIOS.json)",
+        "validate", help=f"validate a JSON artifact (Chrome trace, {kinds})"
     )
     validate.add_argument(
-        "trace",
-        metavar="ARTIFACT.json",
-        help="Chrome trace JSON or scenario-matrix report",
+        "trace", metavar="ARTIFACT.json", help=f"Chrome trace JSON or one of {kinds}"
     )
     return parser
 
@@ -61,7 +48,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     path = Path(args.trace)
     if not path.is_file():
-        print(f"error: no such trace file: {path}", file=sys.stderr)
+        kind = "trace" if args.command == "report" else "artifact"
+        print(f"error: no such {kind} file: {path}", file=sys.stderr)
         return 2
 
     if args.command == "report":
@@ -77,65 +65,16 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as error:
         print(f"error: {path} is not valid JSON: {error}", file=sys.stderr)
         return 1
-    if isinstance(data, dict) and str(data.get("schema", "")).startswith(
-        SCENARIO_SCHEMA_PREFIX
-    ):
-        problems = validate_scenario_report(data)
-        if problems:
-            for problem in problems:
-                print(f"invalid: {problem}", file=sys.stderr)
-            return 1
-        cells = len(data["cells"])
-        verdict = "PASS" if data["passed"] else "FAIL"
-        print(f"{path.name}: valid scenario-matrix report ({cells} cells, {verdict})")
-        return 0
-    if isinstance(data, dict) and str(data.get("schema", "")).startswith(
-        PORTFOLIO_SCHEMA_PREFIX
-    ):
-        problems = validate_portfolio_report(data)
-        if problems:
-            for problem in problems:
-                print(f"invalid: {problem}", file=sys.stderr)
-            return 1
-        entries = len(data["entries"])
-        verdict = "SLO-MET" if data["slo_met"] else "SLO-MISSED"
-        print(f"{path.name}: valid portfolio report ({entries} configs, {verdict})")
-        return 0
-    if isinstance(data, dict) and str(data.get("schema", "")).startswith(
-        POLICY_EVAL_SCHEMA_PREFIX
-    ):
-        problems = validate_policy_eval(data)
-        if problems:
-            for problem in problems:
-                print(f"invalid: {problem}", file=sys.stderr)
-            return 1
-        profiles = len(data["profiles"])
-        verdict = "DOMINATES" if data["passed"] else "FAIL"
-        print(
-            f"{path.name}: valid policy-eval report ({profiles} profiles, {verdict})"
-        )
-        return 0
-    if isinstance(data, dict) and str(data.get("schema", "")).startswith(
-        POLICY_SCHEMA_PREFIX
-    ):
-        problems = validate_policy_artifact(data)
-        if problems:
-            for problem in problems:
-                print(f"invalid: {problem}", file=sys.stderr)
-            return 1
-        caps = len(data["caps"])
-        print(
-            f"{path.name}: valid policy artifact ({caps} caps, "
-            f"digest {data['digest'][:12]})"
-        )
-        return 0
-    problems = validate_chrome_trace(data)
+    schema = find_schema(data)
+    problems = validate_chrome_trace(data) if schema is None else schema.problems(data)
     if problems:
         for problem in problems:
             print(f"invalid: {problem}", file=sys.stderr)
         return 1
-    events = len(data["traceEvents"])
-    print(f"{path.name}: valid Chrome trace ({events} events)")
+    if schema is None:
+        print(f"{path.name}: valid Chrome trace ({len(data['traceEvents'])} events)")
+    else:
+        print(f"{path.name}: {schema.summary(data)}")
     return 0
 
 

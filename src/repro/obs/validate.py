@@ -1,362 +1,311 @@
-"""Schema validation for the ``SCENARIOS.json`` scenario-matrix report.
+"""Schema validation for the JSON artifacts the repro CLIs freeze as evidence.
 
-Pure-structure checks (no imports from the testing layer): the CI
-``scenario-matrix`` job validates the uploaded artifact with
-``python -m repro.obs validate SCENARIOS.json`` before gating on it, so
-a half-written or hand-mangled report fails loudly instead of being
+:data:`ARTIFACTS` holds one :class:`ArtifactSchema` per artifact kind: the
+``schema`` prefix that identifies it, a declarative field spec, the
+cross-field invariants the spec cannot express, and the one-line summary
+``python -m repro.obs validate`` prints for a valid file. One walker
+checks every entry, so CI gates each uploaded artifact (``SCENARIOS.json``,
+``PORTFOLIO.json``, ``POLICY.json``, ``POLICY_EVAL.json``) the same way,
+and a half-written or hand-mangled report fails loudly instead of being
 archived as evidence.
+
+``POLICY.json`` is checked for structure only; its value rules (cap range,
+head widths, digest, ...) belong to
+:meth:`repro.runtime.policy.ControllerPolicy.from_dict`, which the policy
+entry calls, so no file passes here that the serve tier cannot load.
 """
 
 from __future__ import annotations
 
+import reprlib
+from dataclasses import dataclass
+from typing import Callable, Mapping, Union
+
 SCENARIO_SCHEMA_PREFIX = "repro.scenarios/"
-PORTFOLIO_SCHEMA_PREFIX = "repro.portfolio/"
-POLICY_SCHEMA_PREFIX = "repro.policy/"
-POLICY_EVAL_SCHEMA_PREFIX = "repro.policy-eval/"
-
-_CELL_KEYS = {
-    "oracle": str,
-    "scenario": str,
-    "design_point": str,
-    "workload": str,
-    "passed": bool,
-    "checks": int,
-    "mismatches": list,
-    "seconds": (int, float),
-}
 
 
-def validate_scenario_report(data: object) -> list[str]:
-    """All schema problems of one scenario-matrix report (empty = valid)."""
-    problems: list[str] = []
-    if not isinstance(data, dict):
-        return [f"report must be a JSON object, got {type(data).__name__}"]
-    schema = data.get("schema")
-    if not isinstance(schema, str) or not schema.startswith(SCENARIO_SCHEMA_PREFIX):
-        problems.append(
-            f"schema must be a string starting with {SCENARIO_SCHEMA_PREFIX!r}, "
-            f"got {schema!r}"
-        )
-    if not isinstance(data.get("passed"), bool):
-        problems.append("missing boolean 'passed' verdict")
+@dataclass(frozen=True)
+class Is:
+    """A leaf field: ``test`` must accept the value, described as ``what``."""
 
-    cells = data.get("cells")
-    if not isinstance(cells, list) or not cells:
-        problems.append("'cells' must be a non-empty list")
-        cells = []
-    scenarios: set[str] = set()
-    designs: set[str] = set()
-    all_passed = True
-    for index, cell in enumerate(cells):
-        if not isinstance(cell, dict):
-            problems.append(f"cell {index} is not an object")
-            continue
-        for key, kind in _CELL_KEYS.items():
-            if key not in cell:
-                problems.append(f"cell {index} missing key {key!r}")
-            elif not isinstance(cell[key], kind):
-                problems.append(
-                    f"cell {index} key {key!r} has type "
-                    f"{type(cell[key]).__name__}"
-                )
-        if isinstance(cell.get("scenario"), str):
-            scenarios.add(cell["scenario"])
-        if isinstance(cell.get("design_point"), str):
-            designs.add(cell["design_point"])
-        if cell.get("passed") is False:
-            all_passed = False
-        if cell.get("passed") is True and cell.get("mismatches"):
-            problems.append(f"cell {index} passed but lists mismatches")
-    if isinstance(data.get("passed"), bool) and cells and data["passed"] != all_passed:
-        problems.append(
-            f"aggregate passed={data['passed']} contradicts the cells "
-            f"(all_passed={all_passed})"
-        )
-
-    for key, named in (("scenarios", scenarios), ("design_points", designs)):
-        listed = data.get(key)
-        if not isinstance(listed, list):
-            problems.append(f"'{key}' must be a list")
-        elif cells and set(listed) != named:
-            problems.append(
-                f"'{key}' {sorted(listed)} does not match the cells "
-                f"{sorted(named)}"
-            )
-
-    obs = data.get("obs")
-    if not isinstance(obs, dict):
-        problems.append("'obs' metrics section missing")
-    else:
-        for section in ("counters", "gauges", "histograms"):
-            if not isinstance(obs.get(section), dict):
-                problems.append(f"obs section {section!r} missing")
-        counters = obs.get("counters", {})
-        if (
-            isinstance(counters, dict)
-            and cells
-            and counters.get("scenario_matrix_cells_total") != float(len(cells))
-        ):
-            problems.append(
-                "obs counter scenario_matrix_cells_total "
-                f"({counters.get('scenario_matrix_cells_total')}) does not "
-                f"match the {len(cells)} cells"
-            )
-    return problems
+    what: str
+    test: Callable[[object], bool]
 
 
-_ENTRY_KEYS = {
-    "config_id": str,
-    "count": int,
-    "nd": int,
-    "nm": int,
-    "s": int,
-    "power_w": (int, float),
-    "utilization": (int, float),
-    "assigned_regimes": list,
-}
+@dataclass(frozen=True)
+class Obj:
+    """A JSON object whose listed keys must be present and match their specs."""
 
-_SOLUTION_FLOATS = (
-    "expected_energy_per_window_j",
-    "expected_latency_s",
-    "provisioned_power_w",
-)
+    fields: Mapping[str, "Spec"]
 
 
-def validate_portfolio_report(data: object) -> list[str]:
-    """All schema problems of one ``PORTFOLIO.json`` report (empty = valid)."""
-    problems: list[str] = []
-    if not isinstance(data, dict):
-        return [f"report must be a JSON object, got {type(data).__name__}"]
-    schema = data.get("schema")
-    if not isinstance(schema, str) or not schema.startswith(PORTFOLIO_SCHEMA_PREFIX):
-        problems.append(
-            f"schema must be a string starting with {PORTFOLIO_SCHEMA_PREFIX!r}, "
-            f"got {schema!r}"
-        )
-    if not isinstance(data.get("name"), str) or not data.get("name"):
-        problems.append("missing non-empty string 'name' (the forecast)")
-    if data.get("objective") not in ("energy", "latency"):
-        problems.append(
-            f"objective must be 'energy' or 'latency', got {data.get('objective')!r}"
-        )
-    if not isinstance(data.get("slo_met"), bool):
-        problems.append("missing boolean 'slo_met' verdict")
-    for key in _SOLUTION_FLOATS:
-        value = data.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            problems.append(f"'{key}' must be a number, got {value!r}")
-        elif value < 0:
-            problems.append(f"'{key}' must be non-negative, got {value!r}")
+@dataclass(frozen=True)
+class Rows:
+    """A non-empty list of objects, each matching ``fields``."""
 
-    entries = data.get("entries")
-    if not isinstance(entries, list) or not entries:
-        problems.append("'entries' must be a non-empty list")
-        entries = []
-    config_ids: set[str] = set()
-    total_count = 0
-    for index, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            problems.append(f"entry {index} is not an object")
-            continue
-        for key, kind in _ENTRY_KEYS.items():
-            if key not in entry:
-                problems.append(f"entry {index} missing key {key!r}")
-            elif not isinstance(entry[key], kind) or isinstance(entry[key], bool):
-                problems.append(
-                    f"entry {index} key {key!r} has type "
-                    f"{type(entry[key]).__name__}"
-                )
-        if isinstance(entry.get("count"), int) and not isinstance(
-            entry.get("count"), bool
-        ):
-            if entry["count"] < 1:
-                problems.append(f"entry {index} count must be >= 1")
-            total_count += max(entry["count"], 0)
-        if isinstance(entry.get("config_id"), str):
-            if entry["config_id"] in config_ids:
-                problems.append(f"entry {index} repeats config {entry['config_id']!r}")
-            config_ids.add(entry["config_id"])
+    fields: Mapping[str, "Spec"]
 
-    instances = data.get("num_instances")
-    if not isinstance(instances, int) or isinstance(instances, bool) or instances < 1:
-        problems.append(f"'num_instances' must be a positive integer, got {instances!r}")
-    elif entries and total_count != instances:
-        problems.append(
-            f"entry counts sum to {total_count}, not num_instances={instances}"
-        )
 
-    assignment = data.get("assignment")
-    if not isinstance(assignment, dict):
-        problems.append("'assignment' must be an object (regime -> config_id)")
-    else:
-        for regime, config_id in sorted(assignment.items()):
-            if not isinstance(config_id, str):
-                problems.append(f"assignment for {regime!r} is not a config id string")
-            elif entries and config_id not in config_ids:
-                problems.append(
-                    f"assignment for {regime!r} names unknown config {config_id!r}"
-                )
-    return problems
+Spec = Union[Is, Obj, Rows]
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def validate_policy_artifact(data: object) -> list[str]:
-    """All schema problems of one frozen ``POLICY.json`` (empty = valid).
+def _is_list_of(value: object, test: Callable[[object], bool]) -> bool:
+    return isinstance(value, list) and all(test(item) for item in value)
 
-    Pure-structure checks plus the digest recomputation: the artifact is
-    content-addressed, so a hand-edited weight fails loudly here before
-    a serve run would silently produce different decisions.
-    """
+
+BOOL = Is("a boolean", lambda v: isinstance(v, bool))
+INT = Is("an integer", _is_int)
+POSITIVE_INT = Is("a positive integer", lambda v: _is_int(v) and v >= 1)
+NUMBER = Is("a number", _is_number)
+NON_NEGATIVE = Is("a non-negative number", lambda v: _is_number(v) and v >= 0)
+TEXT = Is("a non-empty string", lambda v: isinstance(v, str) and v != "")
+LIST = Is("a list", lambda v: isinstance(v, list))
+TEXTS = Is("a list of strings", lambda v: _is_list_of(v, lambda s: isinstance(s, str)))
+OBJECT = Is("an object", lambda v: isinstance(v, dict))
+DIGEST = Is("a 64-character sha256 hex string", lambda v: isinstance(v, str) and len(v) == 64)
+WEIGHTS = Is(
+    "a list of non-empty number lists",
+    lambda v: _is_list_of(v, lambda h: bool(h) and _is_list_of(h, _is_number)),
+)
+
+
+def _walk(spec: Spec, value: object, where: str) -> list[str]:
+    """Every mismatch between ``value`` and ``spec``; ``where`` names it."""
+    if isinstance(spec, Is):
+        return [] if spec.test(value) else [
+            f"{where} must be {spec.what}, got {reprlib.repr(value)}"
+        ]
+    if isinstance(spec, Rows):
+        if not isinstance(value, list) or not value:
+            return [f"{where} must be a non-empty list"]
+        row = Obj(spec.fields)
+        return [p for i, item in enumerate(value) for p in _walk(row, item, f"{where}[{i}]")]
+    if not isinstance(value, dict):
+        return [f"{where or 'artifact'} must be a JSON object, got {type(value).__name__}"]
     problems: list[str] = []
-    if not isinstance(data, dict):
-        return [f"artifact must be a JSON object, got {type(data).__name__}"]
-    schema = data.get("schema")
-    if not isinstance(schema, str) or not schema.startswith(POLICY_SCHEMA_PREFIX):
-        problems.append(
-            f"schema must be a string starting with {POLICY_SCHEMA_PREFIX!r}, "
-            f"got {schema!r}"
-        )
-    if not isinstance(data.get("name"), str) or not data.get("name"):
-        problems.append("missing non-empty string 'name'")
-
-    caps = data.get("caps")
-    if (
-        not isinstance(caps, list)
-        or not caps
-        or any(not isinstance(c, int) or isinstance(c, bool) for c in caps)
-    ):
-        problems.append("'caps' must be a non-empty list of integers")
-        caps = []
-    elif caps != sorted(set(caps)) or caps[0] < 1:
-        problems.append(f"'caps' must be strictly increasing and >= 1, got {caps}")
-
-    heads = data.get("error_heads")
-    if not isinstance(heads, list) or (caps and len(heads) != len(caps)):
-        problems.append(
-            f"'error_heads' must list one head per cap "
-            f"({len(caps)} caps, got "
-            f"{len(heads) if isinstance(heads, list) else type(heads).__name__})"
-        )
-        heads = []
-    widths = set()
-    for index, head in enumerate(heads):
-        if not isinstance(head, list) or not head or not all(
-            _is_number(w) for w in head
-        ):
-            problems.append(f"error head {index} is not a list of numbers")
+    for key, field in spec.fields.items():
+        name = f"{where}.{key}" if where else key
+        if key not in value:
+            problems.append(f"missing key {name!r}")
         else:
-            widths.add(len(head))
-    if len(widths) > 1:
-        problems.append(f"error heads disagree on feature width: {sorted(widths)}")
+            problems += _walk(field, value[key], name)
+    return problems
 
-    actions = data.get("admission_actions")
-    admission = data.get("admission_heads")
-    if actions != ["accept", "degrade", "shed"]:
-        problems.append(
-            f"'admission_actions' must be ['accept', 'degrade', 'shed'], "
-            f"got {actions!r}"
+
+@dataclass(frozen=True)
+class ArtifactSchema:
+    """One artifact kind: how to recognise it, check it and summarise it."""
+
+    prefix: str  # the ``schema`` marker starts with this
+    fields: Mapping[str, Spec]
+    invariants: Callable[[dict], list[str]]  # cross-field rules, on well-typed data
+    summary: Callable[[dict], str]  # the CLI's verdict line for a valid file
+
+    def problems(self, data: object) -> list[str]:
+        """All problems of ``data`` as this kind of artifact (empty = valid)."""
+        schema = Is(
+            f"a string starting with {self.prefix!r}",
+            lambda v: isinstance(v, str) and v.startswith(self.prefix),
         )
-    if not isinstance(admission, list) or len(admission) != 3:
-        problems.append("'admission_heads' must list exactly 3 heads")
-    else:
-        for index, head in enumerate(admission):
-            if not isinstance(head, list) or not head or not all(
-                _is_number(w) for w in head
-            ):
-                problems.append(f"admission head {index} is not a list of numbers")
+        problems = _walk(Obj({"schema": schema, **self.fields}), data, "")
+        return problems or self.invariants(data)
 
-    if not _is_number(data.get("energy_weight")) or data["energy_weight"] < 0:
-        problems.append("'energy_weight' must be a non-negative number")
-    alpha = data.get("drift_alpha")
-    if not _is_number(alpha) or not 0.0 < alpha <= 1.0:
-        problems.append(f"'drift_alpha' must lie in (0, 1], got {alpha!r}")
-    if not isinstance(data.get("trained_on"), list):
-        problems.append("'trained_on' must be a list of profile names")
 
-    digest = data.get("digest")
-    if not isinstance(digest, str) or len(digest) != 64:
-        problems.append("'digest' must be a 64-hex-char sha256 string")
-    else:
-        import hashlib
-        import json as _json
-
-        body = {key: value for key, value in data.items() if key != "digest"}
-        canonical = _json.dumps(body, sort_keys=True, separators=(",", ":"))
-        expected = hashlib.sha256(canonical.encode()).hexdigest()
-        if digest != expected:
+def _scenario_invariants(report: dict) -> list[str]:
+    cells = report["cells"]
+    problems = [
+        f"cells[{i}] passed but lists mismatches"
+        for i, cell in enumerate(cells)
+        if cell["passed"] and cell["mismatches"]
+    ]
+    all_passed = all(cell["passed"] for cell in cells)
+    if report["passed"] != all_passed:
+        problems.append(
+            f"aggregate passed={report['passed']} contradicts the cells "
+            f"(all_passed={all_passed})"
+        )
+    for key, column in (("scenarios", "scenario"), ("design_points", "design_point")):
+        named = {cell[column] for cell in cells}
+        if set(report[key]) != named:
             problems.append(
-                f"digest {digest[:12]}... does not match the content "
-                f"({expected[:12]}...): the artifact was edited after freezing"
+                f"{key!r} {sorted(report[key])} does not match the cells {sorted(named)}"
             )
+    total = report["obs"]["counters"].get("scenario_matrix_cells_total")
+    if total != float(len(cells)):
+        problems.append(
+            f"obs counter scenario_matrix_cells_total ({total}) does not match "
+            f"the {len(cells)} cells"
+        )
+    return problems
+
+
+def _portfolio_invariants(report: dict) -> list[str]:
+    ids = [entry["config_id"] for entry in report["entries"]]
+    problems = [
+        f"entries[{i}] repeats config {config_id!r}"
+        for i, config_id in enumerate(ids)
+        if config_id in ids[:i]
+    ]
+    total = sum(entry["count"] for entry in report["entries"])
+    if total != report["num_instances"]:
+        problems.append(
+            f"entry counts sum to {total}, not num_instances={report['num_instances']}"
+        )
+    problems += [
+        f"assignment for {regime!r} names unknown config {config_id!r}"
+        for regime, config_id in sorted(report["assignment"].items())
+        if config_id not in ids
+    ]
     return problems
 
 
-_EVAL_PROFILE_FLOATS = ("energy_j", "mean_drift_m")
-_EVAL_PROFILE_INTS = ("windows_served", "windows_shed", "deadline_misses", "errors")
+def _policy_invariants(artifact: dict) -> list[str]:
+    # Imported here so that importing repro.obs never loads the runtime layer.
+    from repro.errors import ConfigurationError
+    from repro.runtime.policy import ControllerPolicy
+
+    try:
+        ControllerPolicy.from_dict(artifact)
+    except ConfigurationError as error:
+        return [str(error)]
+    return []
 
 
-def validate_policy_eval(data: object) -> list[str]:
-    """All schema problems of one ``POLICY_EVAL.json`` (empty = valid)."""
-    problems: list[str] = []
-    if not isinstance(data, dict):
-        return [f"report must be a JSON object, got {type(data).__name__}"]
-    schema = data.get("schema")
-    if not isinstance(schema, str) or not schema.startswith(
-        POLICY_EVAL_SCHEMA_PREFIX
-    ):
-        problems.append(
-            f"schema must be a string starting with "
-            f"{POLICY_EVAL_SCHEMA_PREFIX!r}, got {schema!r}"
-        )
-    if not isinstance(data.get("passed"), bool):
-        problems.append("missing boolean 'passed' verdict")
-    policy = data.get("policy")
-    if not isinstance(policy, dict) or not policy.get("name"):
-        problems.append("'policy' must be an object naming the frozen artifact")
-    elif not isinstance(policy.get("digest"), str):
-        problems.append("'policy' must carry the artifact digest")
+def _policy_eval_invariants(report: dict) -> list[str]:
+    dominated = all(entry["dominates"] for entry in report["profiles"])
+    if report["passed"] != dominated:
+        return [
+            f"aggregate passed={report['passed']} contradicts the profiles "
+            f"(all dominated={dominated})"
+        ]
+    return []
 
-    profiles = data.get("profiles")
-    if not isinstance(profiles, list) or not profiles:
-        problems.append("'profiles' must be a non-empty list")
-        profiles = []
-    all_dominated = True
-    for index, entry in enumerate(profiles):
-        if not isinstance(entry, dict):
-            problems.append(f"profile entry {index} is not an object")
-            continue
-        if not isinstance(entry.get("profile"), str) or not entry.get("profile"):
-            problems.append(f"profile entry {index} missing 'profile' name")
-        if not isinstance(entry.get("dominates"), bool):
-            problems.append(f"profile entry {index} missing boolean 'dominates'")
-        elif not entry["dominates"]:
-            all_dominated = False
-        for side in ("baseline", "learned"):
-            block = entry.get(side)
-            if not isinstance(block, dict):
-                problems.append(f"profile entry {index} missing {side!r} metrics")
-                continue
-            for key in _EVAL_PROFILE_FLOATS:
-                if not _is_number(block.get(key)):
-                    problems.append(
-                        f"profile entry {index} {side} key {key!r} must be a number"
-                    )
-            for key in _EVAL_PROFILE_INTS:
-                value = block.get(key)
-                if not isinstance(value, int) or isinstance(value, bool):
-                    problems.append(
-                        f"profile entry {index} {side} key {key!r} must be an int"
-                    )
-    if (
-        isinstance(data.get("passed"), bool)
-        and profiles
-        and data["passed"] != all_dominated
-    ):
-        problems.append(
-            f"aggregate passed={data['passed']} contradicts the profiles "
-            f"(all dominated={all_dominated})"
-        )
-    return problems
+
+_EVAL_SIDE = Obj({
+    "energy_j": NUMBER,
+    "mean_drift_m": NUMBER,
+    "windows_served": INT,
+    "windows_shed": INT,
+    "deadline_misses": INT,
+    "errors": INT,
+})
+
+#: Every artifact kind, keyed by the file name its producing CLI writes.
+ARTIFACTS: dict[str, ArtifactSchema] = {
+    "SCENARIOS.json": ArtifactSchema(
+        prefix=SCENARIO_SCHEMA_PREFIX,
+        fields={
+            "passed": BOOL,
+            "cells": Rows({
+                "oracle": TEXT,
+                "scenario": TEXT,
+                "design_point": TEXT,
+                "workload": TEXT,
+                "passed": BOOL,
+                "checks": INT,
+                "mismatches": LIST,
+                "seconds": NUMBER,
+            }),
+            "scenarios": TEXTS,
+            "design_points": TEXTS,
+            "obs": Obj({"counters": OBJECT, "gauges": OBJECT, "histograms": OBJECT}),
+        },
+        invariants=_scenario_invariants,
+        summary=lambda r: (
+            f"valid scenario-matrix report ({len(r['cells'])} cells, "
+            f"{'PASS' if r['passed'] else 'FAIL'})"
+        ),
+    ),
+    "PORTFOLIO.json": ArtifactSchema(
+        prefix="repro.portfolio/",
+        fields={
+            "name": TEXT,
+            "objective": Is("'energy' or 'latency'", lambda v: v in ("energy", "latency")),
+            "slo_met": BOOL,
+            "expected_energy_per_window_j": NON_NEGATIVE,
+            "expected_latency_s": NON_NEGATIVE,
+            "provisioned_power_w": NON_NEGATIVE,
+            "entries": Rows({
+                "config_id": TEXT,
+                "count": POSITIVE_INT,
+                "nd": INT,
+                "nm": INT,
+                "s": INT,
+                "power_w": NUMBER,
+                "utilization": NUMBER,
+                "assigned_regimes": LIST,
+            }),
+            "num_instances": POSITIVE_INT,
+            "assignment": Is(
+                "an object mapping regimes to config ids",
+                lambda v: isinstance(v, dict) and all(isinstance(c, str) for c in v.values()),
+            ),
+        },
+        invariants=_portfolio_invariants,
+        summary=lambda r: (
+            f"valid portfolio report ({len(r['entries'])} configs, "
+            f"{'SLO-MET' if r['slo_met'] else 'SLO-MISSED'})"
+        ),
+    ),
+    "POLICY.json": ArtifactSchema(
+        prefix="repro.policy/",
+        fields={
+            "name": TEXT,
+            "caps": Is(
+                "a non-empty list of integers", lambda v: bool(v) and _is_list_of(v, _is_int)
+            ),
+            "error_heads": WEIGHTS,
+            "admission_actions": Is(
+                "['accept', 'degrade', 'shed']", lambda v: v == ["accept", "degrade", "shed"]
+            ),
+            "admission_heads": WEIGHTS,
+            "energy_weight": NUMBER,
+            "drift_alpha": NUMBER,
+            "trained_on": TEXTS,
+            "digest": DIGEST,
+        },
+        invariants=_policy_invariants,
+        summary=lambda r: (
+            f"valid policy artifact ({len(r['caps'])} caps, digest {r['digest'][:12]})"
+        ),
+    ),
+    "POLICY_EVAL.json": ArtifactSchema(
+        prefix="repro.policy-eval/",
+        fields={
+            "passed": BOOL,
+            "policy": Obj({"name": TEXT, "digest": DIGEST}),
+            "profiles": Rows({
+                "profile": TEXT,
+                "dominates": BOOL,
+                "baseline": _EVAL_SIDE,
+                "learned": _EVAL_SIDE,
+            }),
+        },
+        invariants=_policy_eval_invariants,
+        summary=lambda r: (
+            f"valid policy-eval report ({len(r['profiles'])} profiles, "
+            f"{'DOMINATES' if r['passed'] else 'FAIL'})"
+        ),
+    ),
+}
+
+
+def find_schema(data: object) -> ArtifactSchema | None:
+    """The entry whose prefix ``data``'s ``schema`` marker starts with."""
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if not isinstance(schema, str):
+        return None
+    return next((entry for entry in ARTIFACTS.values() if schema.startswith(entry.prefix)), None)
+
+
+# Per-kind entry points, as the scenario-matrix and portfolio tests import them.
+validate_scenario_report = ARTIFACTS["SCENARIOS.json"].problems
+validate_portfolio_report = ARTIFACTS["PORTFOLIO.json"].problems
