@@ -60,14 +60,14 @@ def run_iteration_functional(
     The numerical result matches
     :meth:`repro.slam.problem.LinearSystem.solve` exactly — both paths
     execute the *same* :class:`~repro.linalg.plan.SolverPlan` object (or
-    one of identical structure from the shared cache); the hardware path
+    the shared cache's plan for the window's width); the hardware path
     additionally runs the Cholesky through the Fig. 10 Evaluate/Update
     timeline to obtain its true round-level cycle count.
 
     Args:
         plan: optionally the exact plan the serving tier / software
             solver holds; when None the process-wide plan cache supplies
-            one for the window's structure.
+            the one for the window's width.
     """
     system = problem.build_linear_system()
     stats_features = system.num_features

@@ -2,22 +2,27 @@
 
 The arrow system of one LM iteration has a *structure* (feature count
 ``p``, stacked keyframe dimension ``q``, the D-type Schur elimination
-order) that is fixed for the whole window — and usually for many
-consecutive windows, since the sliding-window estimator keeps the same
-window shape frame after frame. The paper's accelerator exploits exactly
-this: the datapath is configured once per structure and then streamed
+order) that is fixed for the whole window. Across windows the width
+``q`` takes only a handful of values (one per keyframe count the
+sliding window passes through), while ``p`` changes from window to
+window with the scene. The paper's accelerator configures its datapath
+once and streams every window through it whatever the feature count
 (Sec. 3.1/5); the CICC 2022 follow-up reconfigures the *same* datapath
-across precisions. :class:`SolverPlan` is the software mirror of that
-idea:
+at run time across precisions. :class:`SolverPlan` is the software
+mirror of that idea:
 
-* built once per structure, it preallocates every buffer the solve
+* built once per width ``q``, it preallocates every buffer the solve
   stage touches (Schur arenas, the Cholesky factor, substitution and
   back-substitution vectors), so :meth:`SolverPlan.execute` performs
   **zero per-iteration array allocation** — verified by a tracemalloc
   assertion in ``tests/test_linalg_plan.py``;
+* :meth:`SolverPlan.fit` re-views its ``p``-sized arenas as prefixes
+  of capacity buffers that grow only past the largest ``p`` seen, so
+  one plan serves every feature count at its width, bit-identically to
+  a freshly built plan;
 * it is reused across all LM iterations of a window and, through
-  :class:`SolverPlanCache`, across windows of identical structure (the
-  hit-rate counters surface in ``BENCH_estimator.json``);
+  :class:`SolverPlanCache` (keyed by width, precision and thread),
+  across every window of the same width;
 * a ``precision="mixed"`` plan factors in float32 and recovers float64
   accuracy through iterative refinement behind the same seam;
 * every layer that solves the arrow system — the NLS solver, the
@@ -109,10 +114,11 @@ class PlanSolveStats:
 
 
 class SolverPlan:
-    """One structure's solve schedule plus its preallocated arenas.
+    """One width's solve schedule plus its preallocated arenas.
 
     Args:
-        num_features: ``p``, the diagonal landmark block size.
+        num_features: ``p``, the diagonal landmark block size the plan
+            is first fitted to (see :meth:`fit`).
         state_dim: ``q``, the stacked keyframe dimension.
         precision: ``"float64"`` (default) or ``"mixed"`` — float32
             factorization + float64 iterative refinement.
@@ -127,17 +133,13 @@ class SolverPlan:
             raise ConfigurationError(
                 f"precision must be one of {PRECISIONS}, got {precision!r}"
             )
-        self.num_features = int(num_features)
         self.state_dim = int(state_dim)
         self.precision = precision
-        p, q = self.num_features, self.state_dim
+        q = self.state_dim
 
         # Schur arenas. ``reduced`` stays intact after execute() — the
         # functional simulator feeds it to the cycle-level Cholesky
         # timeline, and mixed-precision refinement needs the true A.
-        self.u_damped = np.empty(p)
-        self.u_inv = np.empty(p)
-        self.w_scaled = np.empty((q, p))
         self.scratch = np.empty((q, q))
         self.reduced = np.empty((q, q))
         self.reduced_rhs = np.empty(q)
@@ -146,25 +148,44 @@ class SolverPlan:
         self.factor = np.empty((q, q), order="F")
         self.solve_vec = np.empty(q)
         self.d_state = np.empty(q)
-        self.d_lambda = np.empty(p)
         if precision == "mixed":
             self.factor32 = np.empty((q, q), dtype=np.float32, order="F")
             self.rhs32 = np.empty(q, dtype=np.float32)
             self.residual = np.empty(q)
         self.last_stats = PlanSolveStats()
         self.executions = 0
+        self._capacity = -1
+        self.fit(num_features)
 
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
 
-    def matches(self, num_features: int, state_dim: int) -> bool:
-        """Whether this plan's symbolic structure fits the given system."""
-        return self.num_features == num_features and self.state_dim == state_dim
+    def fit(self, num_features: int) -> None:
+        """Re-view the ``p``-sized arenas for ``num_features`` landmarks.
 
-    @property
-    def key(self) -> tuple[int, int, str]:
-        return (self.num_features, self.state_dim, self.precision)
+        ``u_damped``, ``u_inv``, ``d_lambda`` and ``w_scaled`` are
+        contiguous prefixes of capacity buffers, which are reallocated
+        only when ``num_features`` exceeds the largest value fitted so
+        far. ``w_scaled`` is ``flat[:q*p].reshape(q, p)``, the layout of
+        a fresh ``np.empty((q, p))``, so a refitted plan solves
+        bit-identically to a freshly built one. The ``(q, q)`` arenas do
+        not depend on ``p`` and are untouched.
+        """
+        if num_features < 0:
+            raise ConfigurationError("plan dimensions must be non-negative")
+        p, q = int(num_features), self.state_dim
+        if p > self._capacity:
+            self._capacity = p
+            self._vectors = (np.empty(p), np.empty(p), np.empty(p))
+            self._w_flat = np.empty(q * p)
+        self.u_damped, self.u_inv, self.d_lambda = (v[:p] for v in self._vectors)
+        self.w_scaled = self._w_flat[: q * p].reshape(q, p)
+        self.num_features = p
+
+    def matches(self, num_features: int, state_dim: int) -> bool:
+        """Whether this plan is currently fitted to the given system."""
+        return self.num_features == num_features and self.state_dim == state_dim
 
     # ------------------------------------------------------------------
     # Execution
@@ -341,18 +362,21 @@ class SolverPlan:
 
 
 # ----------------------------------------------------------------------
-# The plan cache: reuse across windows of identical structure
+# The plan cache: reuse across every window of one width
 # ----------------------------------------------------------------------
 
 class SolverPlanCache:
-    """LRU cache of :class:`SolverPlan` keyed by structure and thread.
+    """LRU cache of :class:`SolverPlan` keyed by width, precision and thread.
 
-    Workspaces are mutable, so a plan must never be shared across
-    threads; the cache keys on ``threading.get_ident()`` in addition to
-    the symbolic structure. This keeps the serving tier's worker threads
-    race-free while still giving every thread cross-window reuse. The
-    ``hits``/``misses`` counters are the plan-reuse hit-rate surfaced in
-    ``BENCH_estimator.json``.
+    One plan per width ``q`` serves every feature count: a lookup refits
+    it to the requested ``p`` (:meth:`SolverPlan.fit`). Workspaces are
+    mutable, so a plan must never be shared across threads; the cache
+    keys on ``threading.get_ident()`` as well. This keeps the serving
+    tier's worker threads race-free while still giving every thread
+    cross-window reuse. A hit means the width's plan already existed,
+    whether or not the refit had to grow it; the ``hits``/``misses``
+    counters surface in ``BENCH_estimator.json`` and in layerbench's
+    ``linalg.plan_cache.*`` metrics.
     """
 
     def __init__(self, max_plans: int = 64) -> None:
@@ -367,13 +391,14 @@ class SolverPlanCache:
     def get(
         self, num_features: int, state_dim: int, precision: str = "float64"
     ) -> SolverPlan:
-        """The cached plan for this structure (built on first miss)."""
-        key = (int(num_features), int(state_dim), precision, threading.get_ident())
+        """This width's plan fitted to ``num_features`` (built on first miss)."""
+        key = (int(state_dim), precision, threading.get_ident())
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
                 self.hits += 1
                 self._plans.move_to_end(key)
+                plan.fit(num_features)
                 return plan
             self.misses += 1
         # Build outside the lock — allocation is the slow part.

@@ -68,8 +68,8 @@ class AcceleratorInstance:
     reconfig_joules: float = 0.0
     # SolverPlan cache the functional fidelity solves through. None means
     # the process-wide default cache — the same one the software
-    # estimator uses, so serving-tier and estimator windows of identical
-    # structure share plans (per worker thread; the cache is thread-keyed).
+    # estimator uses, so serving-tier and estimator windows of the same
+    # width share plans (per worker thread; the cache is thread-keyed).
     plan_cache: object | None = None
 
     def __post_init__(self) -> None:

@@ -97,7 +97,9 @@ def _worker_loop(conn, sessions: dict[int, Session]) -> None:
     inheritance (no pickling of estimator state); from then on the
     worker's copies are the live ones. Commands arrive on a FIFO pipe
     and are served strictly in order — which is what makes per-session
-    estimator steps apply in exactly the event-loop order.
+    estimator steps apply in exactly the event-loop order. A command
+    that raises is answered with the exception's type and message, so
+    the parent's :class:`ServeError` names the cause.
     """
     try:
         while True:
@@ -114,11 +116,15 @@ def _worker_loop(conn, sessions: dict[int, Session]) -> None:
                     conn.send(("error", f"{type(error).__name__}: {error}"))
             elif kind == _CMD_RUN:
                 _, requests = message
-                outcomes = [
-                    execute_session_step(sessions[request.session_id], request)
-                    for request in requests
-                ]
-                conn.send(("results", outcomes))
+                try:
+                    outcomes = [
+                        execute_session_step(sessions[request.session_id], request)
+                        for request in requests
+                    ]
+                except Exception as error:  # noqa: BLE001 — crosses a process
+                    conn.send(("error", f"{type(error).__name__}: {error}"))
+                else:
+                    conn.send(("results", outcomes))
             else:
                 conn.send(("error", f"unknown command {kind!r}"))
     finally:

@@ -109,7 +109,7 @@ def levenberg_marquardt(
         result.iterations += 1
         if plan is None or not plan.matches(system.num_features, system.b_y.shape[0]):
             # The process-wide cache makes this a hit whenever any prior
-            # window (on this thread) had the same structure.
+            # window (on this thread) had the same width.
             plan = default_plan_cache().get(system.num_features, system.b_y.shape[0])
         solved = False
         with window_trace.span("solve", category="nls", damping=damping):

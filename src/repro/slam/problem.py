@@ -78,8 +78,8 @@ class LinearSystem:
             damping: LM damping added to both diagonal blocks.
             plan: a prebuilt plan matching this system's structure; when
                 None the process-wide plan cache supplies one (reused
-                across iterations and across windows of identical
-                structure).
+                across iterations and across every window of the same
+                width).
             copy: return owned arrays (default). ``copy=False`` returns
                 views into the plan's arenas — valid only until the next
                 solve on the same plan; the NLS hot loop uses this.

@@ -20,7 +20,8 @@ computation on a deterministic randomized workload and returns an
 * ``plan_solve`` — the :class:`repro.linalg.plan.SolverPlan` structured
   path against the independent dense float64 solve
   (:meth:`~repro.slam.problem.LinearSystem.solve_dense`), plus
-  bit-identity of a reused plan vs a freshly built one.
+  bit-identity of a reused plan, and of a plan refit from a larger
+  feature count, vs a freshly built one.
 * ``mixed_precision`` — the float32 + iterative-refinement plan against
   the float64 plan, within 1e-9 of the solution scale.
 * ``router`` — the portfolio tier's marginal-completion-time router
@@ -490,6 +491,24 @@ def run_plan_oracle(
         "reuse_bit_identical_state", 1.0,
         float(np.array_equal(reused_state, fresh_state)), 0.0,
         detail="reused plan vs fresh plan, keyframe update",
+    )
+    # Refit: the plan cache hands one plan per width to every feature
+    # count, so a plan built for more features and refit to this
+    # window's must solve it exactly as the fresh plan does.
+    refit = SolverPlan(system.num_features + 7, system.b_y.shape[0])
+    refit.fit(system.num_features)
+    refit_lambda, refit_state = system.solve(damping=damping, plan=refit)
+    if perturbation:
+        refit_lambda = refit_lambda + perturbation
+    report.check_scalar(
+        "reuse_bit_identical_refit_lambda", 1.0,
+        float(np.array_equal(refit_lambda, fresh_lambda)), 0.0,
+        detail="plan refit from p + 7 vs fresh plan, landmark update",
+    )
+    report.check_scalar(
+        "reuse_bit_identical_refit_state", 1.0,
+        float(np.array_equal(refit_state, fresh_state)), 0.0,
+        detail="plan refit from p + 7 vs fresh plan, keyframe update",
     )
     report.check_scalar(
         "no_spurious_jitter", 0.0, float(plan.last_stats.jitter_applied), 0.0,

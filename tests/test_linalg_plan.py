@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError, SolverError
 from repro.linalg.plan import (
     HAVE_SCIPY,
+    PRECISIONS,
     PlanSolveStats,
     SolverPlan,
     SolverPlanCache,
@@ -85,6 +86,8 @@ class TestPlanCorrectness:
             SolverPlan(-1, 6)
         with pytest.raises(ConfigurationError):
             SolverPlan(4, 6, precision="float16")
+        with pytest.raises(ConfigurationError):
+            SolverPlan(4, 6).fit(-1)
 
 
 class TestPlanReuse:
@@ -123,6 +126,68 @@ class TestPlanReuse:
         d_lambda, d_state = system.solve(damping=0.0, plan=plan, copy=False)
         assert np.shares_memory(d_lambda, plan.d_lambda)
         assert np.shares_memory(d_state, plan.d_state)
+
+
+class TestWidthRefit:
+    """One plan per width serves every feature count: a refit must solve
+    exactly as a plan freshly built for that count does."""
+
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_refit_sequence_bit_identical_to_fresh(self, precision, singular):
+        q = 12
+        build = singular_system if singular else arrow_system
+        damping = 0.0 if singular else 1e-4  # damping would mask the failure
+        plan = SolverPlan(9, q, precision=precision)
+        # grow -> shrink -> grow, with an empty landmark block on the way.
+        for seed, p in enumerate((9, 30, 4, 17, 0, 45, 30, 46)):
+            plan.fit(p)
+            assert plan.matches(p, q)
+            system = build(p, q, seed=seed)
+            fresh = SolverPlan(p, q, precision=precision)
+            want_lambda, want_state, want_stats = fresh.execute(
+                *_parts(system), damping=damping
+            )
+            got_lambda, got_state, got_stats = plan.execute(
+                *_parts(system), damping=damping
+            )
+            assert got_lambda.tobytes() == want_lambda.tobytes()
+            assert got_state.tobytes() == want_state.tobytes()
+            assert plan.reduced.tobytes() == fresh.reduced.tobytes()
+            assert got_stats.jitter_applied == singular
+            assert got_stats.jitter == want_stats.jitter
+
+    def test_refit_within_capacity_keeps_buffers(self):
+        plan = SolverPlan(40, 9)
+        w_scaled = plan.w_scaled
+        plan.fit(25)
+        assert np.shares_memory(plan.w_scaled, w_scaled)
+        assert plan.w_scaled.shape == (9, 25) and plan.w_scaled.flags.c_contiguous
+        assert plan.d_lambda.shape == plan.u_damped.shape == (25,)
+        plan.fit(41)  # past the capacity: new buffers
+        assert not np.shares_memory(plan.w_scaled, w_scaled)
+
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    def test_warm_refit_allocates_no_arrays(self, precision):
+        """Looking up a width's plan for a smaller feature count and
+        solving through it stays under the zero-allocation bound once the
+        plan's capacity covers that count."""
+        if not HAVE_SCIPY:
+            pytest.skip("scipy-path contract")
+        cache = SolverPlanCache()
+        q = 150
+        big = _parts(arrow_system(200, q, seed=0))
+        small = _parts(arrow_system(120, q, seed=1))
+        cache.get(200, q, precision).execute(*big, damping=1e-4)
+        cache.get(120, q, precision).execute(*small, damping=1e-4)
+        tracemalloc.start()
+        cache.get(200, q, precision).execute(*big, damping=1e-4)  # warm tracer
+        tracemalloc.reset_peak()
+        cache.get(120, q, precision).execute(*small, damping=1e-4)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 32_768, f"refit + solve allocated {peak} bytes"
+        assert cache.stats()["plans"] == 1
 
 
 class TestMixedPrecision:
@@ -239,9 +304,12 @@ class TestPlanCache:
         a = cache.get(10, 9)
         b = cache.get(10, 9)
         c = cache.get(11, 9)
-        assert a is b and a is not c
+        # Plans are keyed by width: another feature count at the same
+        # width is the same plan, refit, and counts as a hit.
+        assert a is b and a is c and c.matches(11, 9)
+        assert cache.get(10, 12) is not a
         assert cache.stats() == {
-            "hits": 1, "misses": 2, "hit_rate": pytest.approx(1 / 3), "plans": 2,
+            "hits": 2, "misses": 2, "hit_rate": pytest.approx(1 / 2), "plans": 2,
         }
         cache.clear()
         assert cache.stats()["plans"] == 0 and cache.stats()["hits"] == 0
@@ -305,10 +373,49 @@ class TestNlsIntegration:
         assert stats["misses"] == 1
         reset_default_plan_cache()
 
+    def test_estimator_run_keeps_one_plan_per_width(self):
+        """A sliding-window run solves at a few widths (one per keyframe
+        count) and many feature counts; the cache holds one plan per
+        width and misses once per width."""
+        from dataclasses import replace
+
+        from repro.data.sequences import EUROC_SEQUENCES, make_sequence
+        from repro.geometry.navstate import STATE_DIM
+        from repro.slam.estimator import EstimatorConfig, SlidingWindowEstimator
+
+        sequence = make_sequence(replace(EUROC_SEQUENCES["MH_03"], duration=8.0))
+        widths = set()
+        config = EstimatorConfig(
+            window_size=6,
+            window_probe=lambda problem, _: widths.add(
+                STATE_DIM * len(problem.states)
+            ),
+        )
+        cache = reset_default_plan_cache()
+        try:
+            SlidingWindowEstimator(config).run(sequence)
+            stats = cache.stats()
+        finally:
+            reset_default_plan_cache()
+        assert 1 < len(widths) <= config.window_size + 1
+        assert stats["plans"] == len(widths)
+        assert stats["misses"] == len(widths)
+
     def test_stats_dataclass_defaults(self):
         stats = PlanSolveStats()
         assert stats.jitter == 0.0 and not stats.jitter_applied
         assert stats.refinement_iterations == 0
+
+
+def singular_system(p, q, seed=0):
+    """An arrow system whose Schur complement is zero, so the first
+    factorization fails and the jitter retry runs."""
+    rng = np.random.default_rng(seed)
+    return LinearSystem(
+        u_diag=rng.uniform(0.5, 3.0, size=p), w_block=np.zeros((q, p)),
+        v_block=np.zeros((q, q)), b_x=rng.normal(size=p), b_y=rng.normal(size=q),
+        feature_ids=list(range(p)), frame_ids=[0],
+    )
 
 
 def _parts(system):

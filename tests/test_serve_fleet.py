@@ -20,7 +20,7 @@ import pickle
 import pytest
 
 from repro.engine import Engine
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ServeError
 from repro.runtime.controller import RuntimeController
 from repro.runtime.profiler import IterationTable
 from repro.runtime.reconfig import build_reconfiguration_table
@@ -35,6 +35,7 @@ from repro.serve import (
     run_fleet,
     shard_service,
 )
+from repro.serve.backend import ProcessBackend
 from repro.serve.service import LocalizationService
 
 
@@ -266,6 +267,30 @@ class TestBackends:
                 fidelity="functional",
                 backend="process",
             )
+
+    def test_worker_exception_is_named_in_serve_error(self):
+        """An untyped exception inside a worker's run must reach the
+        parent as a ServeError naming it, not as a dead pipe."""
+
+        class BrokenSession:
+            def execute(self, request):
+                raise ValueError("boom")
+
+        backend = ProcessBackend(1)
+        backend.start({0: BrokenSession()})
+        procs = list(backend._procs)
+        try:
+            with pytest.raises(ServeError, match="ValueError: boom"):
+                backend.run_jobs([
+                    WindowRequest(
+                        session_id=0, frame_id=1, ready_time=0.0, deadline=1.0,
+                        iterations=1, config=None, reconfigured=False,
+                        degraded=False, seq=0,
+                    )
+                ])
+        finally:
+            backend.stop()
+        assert not any(proc.is_alive() for proc in procs)
 
 
 def scenario_fleet_profile(regime, **overrides):
