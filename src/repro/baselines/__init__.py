@@ -16,8 +16,6 @@ from repro.baselines.cpu import (
     CpuPlatform,
     INTEL_COMET_LAKE,
     ARM_A57,
-    cpu_window_time,
-    cpu_window_energy,
 )
 from repro.baselines.ceres import dense_lm_solve
 from repro.baselines.accelerators import (
@@ -34,8 +32,6 @@ __all__ = [
     "CpuPlatform",
     "INTEL_COMET_LAKE",
     "ARM_A57",
-    "cpu_window_time",
-    "cpu_window_energy",
     "dense_lm_solve",
     "PriorAccelerator",
     "PI_BA",

@@ -94,15 +94,3 @@ ARM_A57 = CpuPlatform(
     effective_ops_per_second=37.5e6,
     power_w=1.85,
 )
-
-
-def cpu_window_time(
-    platform: CpuPlatform, stats: WindowStats, iterations: int = 6
-) -> float:
-    return platform.window_time(stats, iterations)
-
-
-def cpu_window_energy(
-    platform: CpuPlatform, stats: WindowStats, iterations: int = 6
-) -> float:
-    return platform.window_energy(stats, iterations)

@@ -91,10 +91,6 @@ class SlidingWindow:
     def num_observations(self) -> int:
         return sum(t.num_observations for t in self.features.values())
 
-    def keyframe_index(self) -> dict[int, int]:
-        """Map keyframe id -> position in ``self.keyframes``."""
-        return {kf.frame_id: i for i, kf in enumerate(self.keyframes)}
-
     def features_seen_only_by(self, frame_id: int) -> list[int]:
         """Feature ids whose every observation is in keyframe ``frame_id``."""
         return [

@@ -47,16 +47,6 @@ class PinholeCamera:
         if self.min_depth <= 0:
             raise ConfigurationError("min_depth must be positive")
 
-    @property
-    def intrinsic_matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.fx, 0.0, self.cx],
-                [0.0, self.fy, self.cy],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-
     def project_camera_point(self, point_c: np.ndarray) -> np.ndarray:
         """Project a camera-frame 3D point to pixel coordinates."""
         point_c = np.asarray(point_c, dtype=float).reshape(3)

@@ -52,10 +52,6 @@ class QFormat:
         scaled = np.round(values / self.resolution) * self.resolution
         return np.clip(scaled, -(2.0**self.integer_bits), self.max_value)
 
-    def quantization_noise_std(self) -> float:
-        """Std of uniform rounding noise: resolution / sqrt(12)."""
-        return self.resolution / np.sqrt(12.0)
-
 
 def quantized_solve(
     u_diag: np.ndarray,

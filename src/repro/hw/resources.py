@@ -14,14 +14,13 @@ demand; DSP is the scarcest resource).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hw.config import HardwareConfig
 from repro.hw.fpga import RESOURCE_KINDS, FpgaPlatform
-from repro.linalg.smatrix import SMatrixLayout
 
 
 @dataclass(frozen=True)
@@ -100,11 +99,3 @@ def fit_linear_model(
     target = np.asarray(values, dtype=float)
     coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
     return LinearResource(*[float(x) for x in coeffs])
-
-
-def buffer_bram_blocks(k: int = 15, b: int = 15, word_bits: int = 32) -> float:
-    """36Kb BRAM blocks needed for the Linear System Parameter Buffer
-    under the Sec. 3.3 compact layout (part of the base BRAM cost)."""
-    words = SMatrixLayout(k=k, b=b).compact_words
-    bits = words * word_bits
-    return bits / 36_864  # 36Kb per block

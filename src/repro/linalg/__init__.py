@@ -7,18 +7,15 @@ the blocked matrix inverse of Equ. 5, and the compact S-matrix storage of
 Sec. 3.3. The cycle-level simulator executes these kernels while it
 counts cycles, so functional results and timing come from the same code.
 
-:mod:`repro.linalg.plan` composes the allocation-free variants of these
-kernels into the :class:`~repro.linalg.plan.SolverPlan` every solve path
-(estimator, functional HW sim, serving tier) executes.
+:mod:`repro.linalg.plan` composes the allocation-free Schur kernels with
+SciPy's in-place Cholesky into the :class:`~repro.linalg.plan.SolverPlan`
+every solve path (estimator, functional HW sim, serving tier) executes.
 """
 
 from repro.linalg.cholesky import (
     backward_substitution,
-    backward_substitution_transposed_into,
     cholesky_evaluate_update,
-    cholesky_inplace,
     forward_substitution,
-    forward_substitution_into,
     solve_cholesky,
     solve_spd,
 )
@@ -42,11 +39,8 @@ from repro.linalg.smatrix import SMatrixLayout, CompactSMatrix
 
 __all__ = [
     "cholesky_evaluate_update",
-    "cholesky_inplace",
     "forward_substitution",
-    "forward_substitution_into",
     "backward_substitution",
-    "backward_substitution_transposed_into",
     "solve_cholesky",
     "solve_spd",
     "d_type_schur",

@@ -60,69 +60,6 @@ def cholesky_evaluate_update(
     return factor, op_counts
 
 
-def cholesky_inplace(work: np.ndarray, outer_scratch: np.ndarray) -> None:
-    """Factor SPD ``work`` in place: its lower triangle becomes ``L``.
-
-    The allocation-free counterpart of :func:`cholesky_evaluate_update`
-    for the :class:`repro.linalg.plan.SolverPlan` workspaces: the rank-1
-    trailing downdates are staged through the caller-owned
-    ``outer_scratch`` (at least the same shape as ``work``) instead of
-    per-column temporaries. The strictly upper triangle of ``work`` is
-    left untouched (stale input values); downstream substitutions only
-    read the lower triangle. No operation counts are recorded — use
-    :func:`cholesky_evaluate_update` when the Equ. 7 latency model needs
-    them.
-
-    Raises:
-        SolverError: if a pivot is not strictly positive. ``work`` is
-            left partially factored; callers retry from a fresh copy.
-    """
-    size = work.shape[0]
-    for i in range(size):
-        pivot = work[i, i]
-        if not pivot > 0.0 or not np.isfinite(pivot):
-            raise SolverError(f"non-positive pivot {pivot:.3e} at column {i}")
-        diag = np.sqrt(pivot)
-        work[i, i] = diag
-        column = work[i + 1 :, i]
-        if column.size:
-            column /= diag
-            buffer = outer_scratch[: column.size, : column.size]
-            np.multiply(column[:, None], column[None, :], out=buffer)
-            trailing = work[i + 1 :, i + 1 :]
-            np.subtract(trailing, buffer, out=trailing)
-
-
-def forward_substitution_into(
-    lower: np.ndarray, rhs: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Solve ``L y = rhs`` into the preallocated ``out`` (no allocation).
-
-    Reads only the lower triangle of ``lower``; assumes the strictly
-    positive diagonal a successful Cholesky guarantees. ``out is rhs``
-    is allowed (in-place solve).
-    """
-    size = lower.shape[0]
-    for i in range(size):
-        out[i] = (rhs[i] - lower[i, :i] @ out[:i]) / lower[i, i]
-    return out
-
-
-def backward_substitution_transposed_into(
-    lower: np.ndarray, rhs: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Solve ``L^T x = rhs`` into ``out``, reading the *lower* factor.
-
-    Column ``i`` of ``L`` is row ``i`` of ``L^T``, so the loop walks the
-    factor's columns directly instead of materializing a transposed
-    view. ``out is rhs`` is allowed.
-    """
-    size = lower.shape[0]
-    for i in range(size - 1, -1, -1):
-        out[i] = (rhs[i] - lower[i + 1 :, i] @ out[i + 1 :]) / lower[i, i]
-    return out
-
-
 def forward_substitution(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``L y = rhs`` for lower-triangular ``L`` (the FBSub node)."""
     lower = check_square("lower", lower)

@@ -7,9 +7,7 @@ order) that is fixed for the whole window. Across windows the width
 sliding window passes through), while ``p`` changes from window to
 window with the scene. The paper's accelerator configures its datapath
 once and streams every window through it whatever the feature count
-(Sec. 3.1/5); the CICC 2022 follow-up reconfigures the *same* datapath
-at run time across precisions. :class:`SolverPlan` is the software
-mirror of that idea:
+(Sec. 3.1/5). :class:`SolverPlan` is the software mirror of that idea:
 
 * built once per width ``q``, it preallocates every buffer the solve
   stage touches (Schur arenas, the Cholesky factor, substitution and
@@ -21,10 +19,8 @@ mirror of that idea:
   one plan serves every feature count at its width, bit-identically to
   a freshly built plan;
 * it is reused across all LM iterations of a window and, through
-  :class:`SolverPlanCache` (keyed by width, precision and thread),
-  across every window of the same width;
-* a ``precision="mixed"`` plan factors in float32 and recovers float64
-  accuracy through iterative refinement behind the same seam;
+  :class:`SolverPlanCache` (keyed by width and thread), across every
+  window of the same width;
 * every layer that solves the arrow system — the NLS solver, the
   functional accelerator simulation, the serving tier's
   ``--fidelity functional`` path — executes the *same* plan object, so
@@ -32,13 +28,11 @@ mirror of that idea:
   (:meth:`repro.slam.problem.LinearSystem.solve_dense`) remains the
   independent conformance oracle.
 
-When SciPy is importable the factorization/substitution run through the
-in-place LAPACK wrappers (``potrf``/``trtrs`` on Fortran-ordered
-workspaces — no copies); otherwise the allocation-free NumPy kernels in
-:mod:`repro.linalg.cholesky` are used. Both paths share the retry
-policy: **no jitter unless the factorization fails**, then escalating
-diagonal jitter, with the applied value reported in
-:class:`PlanSolveStats`.
+The factorization and substitutions run through SciPy's in-place LAPACK
+wrappers (``potrf``/``trtrs`` on Fortran-ordered workspaces — no
+copies). The retry policy is **no jitter unless the factorization
+fails**, then escalating diagonal jitter, with the applied value
+reported in :class:`PlanSolveStats`.
 """
 
 from __future__ import annotations
@@ -49,26 +43,10 @@ from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
+from scipy.linalg import cholesky, solve_triangular
 
 from repro.errors import ConfigurationError, SolverError
-from repro.linalg.cholesky import (
-    backward_substitution_transposed_into,
-    cholesky_inplace,
-    forward_substitution_into,
-)
 from repro.linalg.schur import d_type_back_substitute_into, d_type_schur_into
-
-try:  # pragma: no cover - exercised through whichever backend is present
-    from scipy.linalg import cholesky as _scipy_cholesky
-    from scipy.linalg import solve_triangular as _scipy_solve_triangular
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    _scipy_cholesky = None
-    _scipy_solve_triangular = None
-    HAVE_SCIPY = False
-
-PRECISIONS = ("float64", "mixed")
 
 #: Diagonal floor applied to the landmark block before elimination —
 #: mirrors ``repro.slam.problem._U_FLOOR`` (kept local to avoid a
@@ -80,11 +58,6 @@ U_FLOOR = 1e-8
 JITTER_INITIAL = 1e-9
 JITTER_GROWTH = 100.0
 MAX_FACTOR_ATTEMPTS = 6
-
-#: Mixed-precision refinement: iterate until the float64 residual is
-#: below RTOL relative to the RHS, or the iteration budget is spent.
-REFINEMENT_RTOL = 1e-13
-REFINEMENT_MAX_ITERATIONS = 8
 
 
 @dataclass
@@ -100,8 +73,6 @@ class PlanSolveStats:
         jitter_applied: whether any jitter was needed.
         factor_attempts: factorization attempts including the final
             successful one.
-        refinement_iterations: float64 refinement steps taken (mixed
-            precision only; 0 on the float64 path).
     """
 
     schur_seconds: float = 0.0
@@ -110,7 +81,6 @@ class PlanSolveStats:
     jitter: float = 0.0
     jitter_applied: bool = False
     factor_attempts: int = 1
-    refinement_iterations: int = 0
 
 
 class SolverPlan:
@@ -120,38 +90,24 @@ class SolverPlan:
         num_features: ``p``, the diagonal landmark block size the plan
             is first fitted to (see :meth:`fit`).
         state_dim: ``q``, the stacked keyframe dimension.
-        precision: ``"float64"`` (default) or ``"mixed"`` — float32
-            factorization + float64 iterative refinement.
     """
 
-    def __init__(
-        self, num_features: int, state_dim: int, precision: str = "float64"
-    ) -> None:
+    def __init__(self, num_features: int, state_dim: int) -> None:
         if num_features < 0 or state_dim < 0:
             raise ConfigurationError("plan dimensions must be non-negative")
-        if precision not in PRECISIONS:
-            raise ConfigurationError(
-                f"precision must be one of {PRECISIONS}, got {precision!r}"
-            )
         self.state_dim = int(state_dim)
-        self.precision = precision
         q = self.state_dim
 
         # Schur arenas. ``reduced`` stays intact after execute() — the
         # functional simulator feeds it to the cycle-level Cholesky
-        # timeline, and mixed-precision refinement needs the true A.
+        # timeline.
         self.scratch = np.empty((q, q))
         self.reduced = np.empty((q, q))
         self.reduced_rhs = np.empty(q)
         # Factor workspace: Fortran order so LAPACK potrf/trtrs run truly
-        # in place; the NumPy fallback is layout-agnostic.
+        # in place.
         self.factor = np.empty((q, q), order="F")
-        self.solve_vec = np.empty(q)
         self.d_state = np.empty(q)
-        if precision == "mixed":
-            self.factor32 = np.empty((q, q), dtype=np.float32, order="F")
-            self.rhs32 = np.empty(q, dtype=np.float32)
-            self.residual = np.empty(q)
         self.last_stats = PlanSolveStats()
         self.executions = 0
         self._capacity = -1
@@ -234,17 +190,11 @@ class SolverPlan:
         stats.schur_seconds = perf_counter() - tic
 
         tic = perf_counter()
-        if self.precision == "mixed":
-            self._factor_with_retry(self.factor32, stats)
-        else:
-            self._factor_with_retry(self.factor, stats)
+        self._factor_with_retry(stats)
         stats.chol_seconds = perf_counter() - tic
 
         tic = perf_counter()
-        if self.precision == "mixed":
-            self._solve_mixed(stats)
-        else:
-            self._triangular_solves(self.factor, self.reduced_rhs, self.d_state)
+        self._triangular_solves(self.factor, self.reduced_rhs, self.d_state)
         d_type_back_substitute_into(
             w_block, self.u_damped, b_x, self.d_state, out=self.d_lambda
         )
@@ -258,26 +208,33 @@ class SolverPlan:
     # Factorization with escalating-jitter retry
     # ------------------------------------------------------------------
 
-    def _factor_with_retry(self, factor: np.ndarray, stats: PlanSolveStats) -> None:
-        """Factor ``self.reduced`` into ``factor`` (lower triangle).
+    def _factor_with_retry(self, stats: PlanSolveStats) -> None:
+        """Factor ``self.reduced`` into ``self.factor`` (lower triangle).
 
         The first attempt is jitter-free; each retry restores the
         workspace from ``self.reduced`` and escalates the diagonal
         jitter. ``self.reduced`` itself is never mutated.
         """
+        if self.state_dim == 0:
+            return
+        factor = self.factor
         jitter = 0.0
         for attempt in range(MAX_FACTOR_ATTEMPTS):
             np.copyto(factor, self.reduced)
             if jitter:
-                # The factor workspaces are Fortran-ordered; their
-                # transpose is a C-contiguous view with the same diagonal.
+                # The factor workspace is Fortran-ordered; its transpose
+                # is a C-contiguous view with the same diagonal.
                 factor.T.reshape(-1)[:: self.state_dim + 1] += jitter
             stats.factor_attempts = attempt + 1
             try:
-                self._factor_inplace(factor)
-            except (SolverError, np.linalg.LinAlgError):
+                result = cholesky(
+                    factor, lower=True, overwrite_a=True, check_finite=False
+                )
+            except np.linalg.LinAlgError:
                 jitter = JITTER_INITIAL if jitter == 0.0 else jitter * JITTER_GROWTH
                 continue
+            if result is not factor and not np.shares_memory(result, factor):
+                np.copyto(factor, result)  # LAPACK declined in-place; keep contract
             stats.jitter = jitter
             stats.jitter_applied = jitter != 0.0
             return
@@ -285,29 +242,6 @@ class SolverPlan:
             f"Cholesky failed after {MAX_FACTOR_ATTEMPTS} attempts "
             f"(final jitter {jitter:.1e})"
         )
-
-    def _factor_inplace(self, work: np.ndarray) -> None:
-        if work.shape[0] == 0:
-            return
-        if HAVE_SCIPY:
-            try:
-                result = _scipy_cholesky(
-                    work, lower=True, overwrite_a=True, check_finite=False
-                )
-            except np.linalg.LinAlgError as error:
-                raise SolverError(str(error)) from error
-            if result is not work and not np.shares_memory(result, work):
-                np.copyto(work, result)  # LAPACK declined in-place; keep contract
-            return
-        if work.dtype == np.float64:
-            cholesky_inplace(work, self.scratch)
-        else:
-            # float32 fallback: stage the downdates through a float32
-            # view of the float64 scratch arena (same memory, no alloc).
-            scratch32 = self.scratch.reshape(-1).view(np.float32)[
-                : work.shape[0] * work.shape[0]
-            ].reshape(work.shape)
-            cholesky_inplace(work, scratch32)
 
     # ------------------------------------------------------------------
     # Triangular solves
@@ -320,45 +254,16 @@ class SolverPlan:
         """Solve ``L L^T out = rhs`` given the lower factor, in place."""
         if factor.shape[0] == 0:
             return
-        if HAVE_SCIPY:
-            if out is not rhs:
-                np.copyto(out, rhs, casting="unsafe")
-            lower = _scipy_solve_triangular(
-                factor, out, lower=True, overwrite_b=True, check_finite=False
-            )
-            upper = _scipy_solve_triangular(
-                factor, lower, lower=True, trans="T", overwrite_b=True,
-                check_finite=False,
-            )
-            if upper is not out and not np.shares_memory(upper, out):
-                np.copyto(out, upper)
-            return
-        forward_substitution_into(factor, rhs, out)
-        backward_substitution_transposed_into(factor, out, out)
-
-    def _solve_mixed(self, stats: PlanSolveStats) -> None:
-        """Float32 solve + float64 iterative refinement into d_state."""
-        np.copyto(self.rhs32, self.reduced_rhs, casting="unsafe")
-        self._triangular_solves(self.factor32, self.rhs32, self.rhs32)
-        np.copyto(self.d_state, self.rhs32, casting="unsafe")
-        if self.state_dim == 0:
-            return
-        rhs_norm = float(np.linalg.norm(self.reduced_rhs))
-        tolerance = REFINEMENT_RTOL * max(rhs_norm, 1e-300)
-        for _ in range(REFINEMENT_MAX_ITERATIONS):
-            # residual = rhs - A x, in float64 against the true reduced
-            # system (with the jitter the factorization applied, so the
-            # refinement converges to the factored operator's solution).
-            np.matmul(self.reduced, self.d_state, out=self.residual)
-            if stats.jitter:
-                self.residual += stats.jitter * self.d_state
-            np.subtract(self.reduced_rhs, self.residual, out=self.residual)
-            if float(np.linalg.norm(self.residual)) <= tolerance:
-                break
-            np.copyto(self.rhs32, self.residual, casting="unsafe")
-            self._triangular_solves(self.factor32, self.rhs32, self.rhs32)
-            self.d_state += self.rhs32
-            stats.refinement_iterations += 1
+        np.copyto(out, rhs)
+        lower = solve_triangular(
+            factor, out, lower=True, overwrite_b=True, check_finite=False
+        )
+        upper = solve_triangular(
+            factor, lower, lower=True, trans="T", overwrite_b=True,
+            check_finite=False,
+        )
+        if upper is not out and not np.shares_memory(upper, out):
+            np.copyto(out, upper)
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +271,7 @@ class SolverPlan:
 # ----------------------------------------------------------------------
 
 class SolverPlanCache:
-    """LRU cache of :class:`SolverPlan` keyed by width, precision and thread.
+    """LRU cache of :class:`SolverPlan` keyed by width and thread.
 
     One plan per width ``q`` serves every feature count: a lookup refits
     it to the requested ``p`` (:meth:`SolverPlan.fit`). Workspaces are
@@ -388,11 +293,9 @@ class SolverPlanCache:
         self.hits = 0
         self.misses = 0
 
-    def get(
-        self, num_features: int, state_dim: int, precision: str = "float64"
-    ) -> SolverPlan:
+    def get(self, num_features: int, state_dim: int) -> SolverPlan:
         """This width's plan fitted to ``num_features`` (built on first miss)."""
-        key = (int(state_dim), precision, threading.get_ident())
+        key = (int(state_dim), threading.get_ident())
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
@@ -402,7 +305,7 @@ class SolverPlanCache:
                 return plan
             self.misses += 1
         # Build outside the lock — allocation is the slow part.
-        plan = SolverPlan(num_features, state_dim, precision=precision)
+        plan = SolverPlan(num_features, state_dim)
         with self._lock:
             self._plans[key] = plan
             self._plans.move_to_end(key)

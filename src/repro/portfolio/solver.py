@@ -131,14 +131,6 @@ class PortfolioSolution:
             configs.extend([entry.config] * entry.count)
         return tuple(configs)
 
-    def config_for_regime(self, regime: str) -> HardwareConfig:
-        for assigned_regime, config_id in self.assignment:
-            if assigned_regime == regime:
-                for entry in self.entries:
-                    if entry.config_id == config_id:
-                        return entry.config
-        raise KeyError(f"regime {regime!r} not in portfolio assignment")
-
     def as_dict(self) -> dict:
         return {
             "name": self.forecast_name,

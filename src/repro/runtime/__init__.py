@@ -19,7 +19,6 @@ from repro.runtime.controller import (
     WindowDecision,
     replay_windows,
 )
-from repro.runtime.learned import LearnedIterationPolicy, train_iteration_policy
 
 __all__ = [
     "IterationTable",
@@ -32,6 +31,4 @@ __all__ = [
     "RuntimeController",
     "WindowDecision",
     "replay_windows",
-    "LearnedIterationPolicy",
-    "train_iteration_policy",
 ]

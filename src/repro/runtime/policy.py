@@ -3,9 +3,7 @@
 The paper's Sec. 6.2 run-time optimizer is a 2-bit saturating counter
 over an offline lookup table, and the serving tier's admission control
 is three fixed queue-depth regimes; both explicitly leave "training a
-machine learning model" to future work. This module is that extension,
-grown from the ridge-regression scaffold in
-:mod:`repro.runtime.learned`:
+machine learning model" to future work. This module is that extension:
 
 * an **iteration head** — one ridge-regression *excess-error* model
   per profiled iteration cap (error beyond what the maximum cap
@@ -55,8 +53,8 @@ ADMISSION_ACTIONS = ("accept", "degrade", "shed")
 
 
 def iteration_features(feature_count: float, drift_m: float) -> tuple[float, ...]:
-    """Feature map of the iteration head: the learned scaffold's
-    ``[1, n/100, 10/n, log n]`` plus the drift-estimate EWMA (clipped —
+    """Feature map of the iteration head: ``[1, n/100, 10/n, log n]``
+    over the feature count ``n`` plus the drift-estimate EWMA (clipped —
     a diverged session must not extrapolate the linear model)."""
     n = max(float(feature_count), 1.0)
     return (1.0, n / 100.0, 10.0 / n, math.log(n), min(max(drift_m, 0.0), 1.0))
@@ -402,6 +400,29 @@ def resolve_policy_spec(name: str) -> PolicyTrainSpec:
     return POLICY_SPECS[name]
 
 
+def excess_error_samples(
+    profiled: dict[int, list[tuple[int, float]]],
+) -> dict[int, list[tuple[tuple[float, ...], float]]]:
+    """Error-head training samples from one offline profile.
+
+    ``profiled`` maps cap -> [(feature_count, error), ...] as
+    :func:`~repro.runtime.profiler.profile_accuracy_vs_iterations`
+    returns it. Each window's error at the *maximum* profiled cap is its
+    reference: the sample's target is the cap's excess over it, and it
+    doubles as the training-time stand-in for the drift-EWMA feature
+    (the window's irreducible error, which is what the serving-time
+    EWMA tracks).
+    """
+    reference = profiled[max(profiled)]
+    return {
+        cap: [
+            (iteration_features(count, ref_error), error - ref_error)
+            for (count, error), (_, ref_error) in zip(samples, reference)
+        ]
+        for cap, samples in profiled.items()
+    }
+
+
 def fit_error_heads(
     samples: dict[int, list[tuple[tuple[float, ...], float]]],
     caps: tuple[int, ...],
@@ -479,11 +500,8 @@ def train_controller_policy(
        spec's profiles, run the Sec. 6.2 offline profiler
        (:func:`~repro.runtime.profiler.profile_accuracy_vs_iterations`)
        at the spec's caps and fit one *excess-error* model per cap
-       (error beyond the maximum cap's on the same window). The
-       profiled window's error at the *maximum* cap doubles as the
-       training-time stand-in for the drift-EWMA feature: it is the
-       window's irreducible error, which is what the serving-time EWMA
-       tracks.
+       (error beyond the maximum cap's on the same window; see
+       :func:`excess_error_samples`).
     2. **admission head** — replay every profile through the baseline
        fixed-regime service with a decision log and clone the teacher's
        accept/degrade/shed choices one-vs-all.
@@ -526,13 +544,8 @@ def train_controller_policy(
                     seed=spec.seed,
                     perturb_scale=scale,
                 )
-                reference = profiled[max(spec.caps)]
-                for cap in spec.caps:
-                    for (count, error), (_, ref_error) in zip(
-                        profiled[cap], reference
-                    ):
-                        x = iteration_features(count, ref_error)
-                        error_samples[cap].append((x, error - ref_error))
+                for cap, samples in excess_error_samples(profiled).items():
+                    error_samples[cap].extend(samples)
     error_heads = fit_error_heads(error_samples, spec.caps, spec.ridge)
 
     decision_log: list[dict] = []

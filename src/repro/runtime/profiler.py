@@ -138,10 +138,6 @@ class IterationTable:
         index = int(np.searchsorted(np.asarray(self.thresholds), feature_count, side="right"))
         return self.iterations[index]
 
-    @property
-    def distinct_iterations(self) -> list[int]:
-        return sorted(set(self.iterations))
-
 
 def perturb_window_problem(problem, rng: np.random.Generator, scale: float = 1.0):
     """Reset a window problem to front-end-grade initialization quality.

@@ -115,11 +115,6 @@ class ScenarioSpec:
     def is_mixture(self) -> bool:
         return len(self.components) > 1
 
-    @property
-    def primary_regime(self) -> str:
-        """The heaviest component (ties broken by component order)."""
-        return max(self.components, key=lambda c: c[1])[0]
-
     def regime_at(self, window_index: int) -> str:
         """The regime governing window ``window_index``.
 

@@ -12,7 +12,7 @@ This package makes each link a first-class, runnable *oracle*:
   oracles, the Hypothesis strategies, and the test suite;
 * :mod:`repro.testing.oracles` — the differential runners with typed
   mismatch reports (backend, functional, trace, fixedpoint, plus the
-  SolverPlan-vs-dense and mixed-precision solve oracles);
+  SolverPlan-vs-dense solve and portfolio router oracles);
 * :mod:`repro.testing.faults` — deterministic fault injectors (NaN
   tracks, IMU gaps, degenerate windows, corrupted cache blobs);
 * :mod:`repro.testing.conformance` — the oracle x workload matrix,
@@ -39,7 +39,6 @@ from repro.testing.oracles import (
     run_backend_oracle,
     run_fixedpoint_oracle,
     run_functional_oracle,
-    run_mixed_precision_oracle,
     run_plan_oracle,
     run_trace_oracle,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "run_backend_oracle",
     "run_fixedpoint_oracle",
     "run_functional_oracle",
-    "run_mixed_precision_oracle",
     "run_plan_oracle",
     "run_trace_oracle",
     "run_conformance",

@@ -22,8 +22,6 @@ computation on a deterministic randomized workload and returns an
   (:meth:`~repro.slam.problem.LinearSystem.solve_dense`), plus
   bit-identity of a reused plan, and of a plan refit from a larger
   feature count, vs a freshly built one.
-* ``mixed_precision`` — the float32 + iterative-refinement plan against
-  the float64 plan, within 1e-9 of the solution scale.
 * ``router`` — the portfolio tier's marginal-completion-time router
   (:func:`repro.portfolio.choose_instance`) against the brute-force
   scan of every (completion, energy, index) tuple, window by window on
@@ -76,17 +74,6 @@ FIXEDPOINT_FLOOR = 1e-9
 # is expected; the budget still sits orders below any structural defect.
 PLAN_RTOL = 1e-8
 PLAN_ATOL = 1e-8
-# Float32 carries ~1e-7 relative error; refinement must pull the final
-# solution to within 1e-9 of the float64 answer (ISSUE acceptance bound),
-# scaled by the solution magnitude.
-MIXED_PRECISION_ATOL = 1e-9
-# Refinement stops at a 1e-13 relative *residual* (REFINEMENT_RTOL), so
-# the *solution* error it can reach scales with the system conditioning.
-# The degenerate scenario regimes are ill-conditioned by design
-# (near-zero baselines, large rotations, low parallax): measured worst
-# case ~1e-8 across seeds, against ~1e-2 for an unrefined float32 solve
-# on the same systems. 5e-8 keeps the refinement claim sharp there.
-MIXED_PRECISION_SCENARIO_ATOL = 5e-8
 
 
 @dataclass(frozen=True)
@@ -525,65 +512,7 @@ def run_plan_oracle(
 
 
 # ----------------------------------------------------------------------
-# Oracle 6: float32 + iterative refinement vs the float64 plan
-# ----------------------------------------------------------------------
-
-def run_mixed_precision_oracle(
-    workload: ConformanceWorkload, perturbation: float = 0.0
-) -> OracleReport:
-    """The mixed-precision fast path must refine back to float64."""
-    from repro.linalg.plan import SolverPlan
-
-    report = OracleReport("mixed_precision", workload.label())
-    tic = perf_counter()
-    problem = make_random_window(
-        workload.seed,
-        num_keyframes=workload.num_keyframes,
-        num_features=workload.num_features,
-        scenario=workload.scenario,
-    )
-    system = problem.build_linear_system()
-    damping = 1e-4
-
-    ref_lambda, ref_state = system.solve(
-        damping=damping,
-        plan=SolverPlan(system.num_features, system.b_y.shape[0]),
-    )
-    mixed = SolverPlan(
-        system.num_features, system.b_y.shape[0], precision="mixed"
-    )
-    mixed_lambda, mixed_state = system.solve(damping=damping, plan=mixed)
-    if perturbation:
-        mixed_state = mixed_state + perturbation
-
-    scale = max(
-        float(np.abs(ref_state).max(initial=0.0)),
-        float(np.abs(ref_lambda).max(initial=0.0)),
-        1.0,
-    )
-    atol = (
-        MIXED_PRECISION_ATOL
-        if workload.scenario == "nominal"
-        else MIXED_PRECISION_SCENARIO_ATOL
-    )
-    report.check_array("d_lambda", ref_lambda, mixed_lambda, 0.0, atol * scale)
-    report.check_array("d_state", ref_state, mixed_state, 0.0, atol * scale)
-    report.check_scalar(
-        "refinement_bounded", 1.0,
-        float(0 <= mixed.last_stats.refinement_iterations <= 8), 0.0,
-        detail=f"refinement_iterations={mixed.last_stats.refinement_iterations}",
-    )
-
-    report.info = {
-        "refinement_iterations": float(mixed.last_stats.refinement_iterations),
-        "num_features": float(system.num_features),
-    }
-    report.seconds = perf_counter() - tic
-    return report
-
-
-# ----------------------------------------------------------------------
-# Oracle 7: marginal-cost router vs the brute-force argmin
+# Oracle 6: marginal-cost router vs the brute-force argmin
 # ----------------------------------------------------------------------
 
 def run_router_oracle(
@@ -670,6 +599,5 @@ ORACLES: dict[str, OracleRunner] = {
     "trace": run_trace_oracle,
     "fixedpoint": run_fixedpoint_oracle,
     "plan_solve": run_plan_oracle,
-    "mixed_precision": run_mixed_precision_oracle,
     "router": run_router_oracle,
 }

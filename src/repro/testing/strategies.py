@@ -21,15 +21,9 @@ import os
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from repro.data.sequences import SequenceConfig
-from repro.hw.config import ND_RANGE, NM_RANGE, S_RANGE, HardwareConfig
 from repro.scenarios import DEGENERATE_REGIMES, REGIMES, ScenarioSpec, mixture, pure
 from repro.synth.spec import DesignSpec
-from repro.testing.workloads import (
-    make_random_stats,
-    make_random_window,
-    make_stats_series,
-)
+from repro.testing.workloads import make_random_stats
 
 DEV_PROFILE = "dev"
 CI_PROFILE = "ci"
@@ -72,33 +66,9 @@ def seeds(max_value: int = 500) -> st.SearchStrategy[int]:
 # Windows and workloads
 # ----------------------------------------------------------------------
 
-def window_problems(
-    max_keyframes: int = 6,
-    max_features: int = 24,
-    backends: tuple[str, ...] = ("batched",),
-) -> st.SearchStrategy:
-    """Randomized sliding-window MAP problems."""
-    return st.builds(
-        make_random_window,
-        seed=seeds(),
-        num_keyframes=st.integers(min_value=2, max_value=max_keyframes),
-        num_features=st.integers(min_value=2, max_value=max_features),
-        backend=st.sampled_from(backends),
-    )
-
-
 def window_stats(max_features: int = 200) -> st.SearchStrategy:
     """Randomized per-window workload statistics."""
     return st.builds(make_random_stats, seeds(), max_features=st.just(max_features))
-
-
-def stats_series(max_windows: int = 24) -> st.SearchStrategy:
-    """Randomized (stats, iterations) series for trace replay."""
-    return st.builds(
-        make_stats_series,
-        seed=seeds(),
-        num_windows=st.integers(min_value=1, max_value=max_windows),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -146,18 +116,8 @@ def scenario_specs() -> st.SearchStrategy[ScenarioSpec]:
 
 
 # ----------------------------------------------------------------------
-# Hardware and synthesis
+# Synthesis
 # ----------------------------------------------------------------------
-
-def hardware_configs() -> st.SearchStrategy[HardwareConfig]:
-    """Any point of the (nd, nm, s) design space."""
-    return st.builds(
-        HardwareConfig,
-        nd=st.integers(min_value=ND_RANGE[0], max_value=ND_RANGE[1]),
-        nm=st.integers(min_value=NM_RANGE[0], max_value=NM_RANGE[1]),
-        s=st.integers(min_value=S_RANGE[0], max_value=S_RANGE[1]),
-    )
-
 
 def design_specs(
     min_budget_ms: float = 18.0,
@@ -223,22 +183,4 @@ def portfolio_specs(
         latency_slo_s=st.floats(min_value=0.02, max_value=0.2),
         sizing_windows=st.just(8),
         max_features=st.just(120),
-    )
-
-
-# ----------------------------------------------------------------------
-# Trajectories / sequences
-# ----------------------------------------------------------------------
-
-def sequence_configs(
-    max_duration: float = 6.0,
-) -> st.SearchStrategy[SequenceConfig]:
-    """Short randomized trajectory recordings (drone and car)."""
-    return st.builds(
-        SequenceConfig,
-        name=st.just("prop"),
-        kind=st.sampled_from(("drone", "car")),
-        seed=seeds(),
-        duration=st.floats(min_value=2.0, max_value=max_duration),
-        motion_scale=st.floats(min_value=0.3, max_value=1.3),
     )

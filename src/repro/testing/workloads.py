@@ -2,8 +2,7 @@
 
 These are plain-numpy factories (no Hypothesis dependency) for the
 objects every conformance check consumes: randomized sliding-window
-problems, per-window workload-statistics series, and hardware
-configurations. The differential oracles drive them directly from a
+problems and per-window workload-statistics series. The differential oracles drive them directly from a
 seed; :mod:`repro.testing.strategies` wraps them into Hypothesis
 strategies; the test suite imports them instead of keeping private
 copies per test module.
@@ -18,7 +17,6 @@ from repro.geometry.camera import PinholeCamera
 from repro.geometry.navstate import NavState
 from repro.geometry.se3 import SE3
 from repro.geometry.so3 import so3_exp
-from repro.hw.config import ND_RANGE, NM_RANGE, S_RANGE, HardwareConfig
 from repro.imu.preintegration import ImuPreintegration
 from repro.slam.problem import WindowProblem
 from repro.slam.residuals import ImuFactor, VisualFactor, make_pose_anchor_prior
@@ -161,13 +159,3 @@ def make_stats_series(
         stats = make_random_stats(seed * 10_007 + index, max_features=max_features)
         series.append((stats, int(rng.integers(1, max_iterations + 1))))
     return series
-
-
-def make_random_hardware_config(seed: int) -> HardwareConfig:
-    """One random point of the (nd, nm, s) design space."""
-    rng = np.random.default_rng(seed)
-    return HardwareConfig(
-        nd=int(rng.integers(ND_RANGE[0], ND_RANGE[1] + 1)),
-        nm=int(rng.integers(NM_RANGE[0], NM_RANGE[1] + 1)),
-        s=int(rng.integers(S_RANGE[0], S_RANGE[1] + 1)),
-    )

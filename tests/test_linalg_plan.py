@@ -1,4 +1,4 @@
-"""Tests for the SolverPlan layer: arenas, reuse, precision, caching."""
+"""Tests for the SolverPlan layer: arenas, reuse, caching."""
 
 import threading
 import tracemalloc
@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, SolverError
 from repro.linalg.plan import (
-    HAVE_SCIPY,
-    PRECISIONS,
     PlanSolveStats,
     SolverPlan,
     SolverPlanCache,
@@ -81,11 +79,15 @@ class TestPlanCorrectness:
         with pytest.raises(SolverError, match="structure"):
             system.solve(plan=SolverPlan(9, 6))
 
+    def test_mistyped_rhs_raises_instead_of_truncating(self):
+        plan = SolverPlan(4, 6)
+        plan.execute(*_parts(arrow_system(4, 6)))
+        with pytest.raises(TypeError, match="same_kind"):
+            plan._triangular_solves(plan.factor, plan.reduced_rhs + 1j, plan.d_state)
+
     def test_bad_construction_rejected(self):
         with pytest.raises(ConfigurationError):
             SolverPlan(-1, 6)
-        with pytest.raises(ConfigurationError):
-            SolverPlan(4, 6, precision="float16")
         with pytest.raises(ConfigurationError):
             SolverPlan(4, 6).fit(-1)
 
@@ -132,19 +134,18 @@ class TestWidthRefit:
     """One plan per width serves every feature count: a refit must solve
     exactly as a plan freshly built for that count does."""
 
-    @pytest.mark.parametrize("precision", PRECISIONS)
     @pytest.mark.parametrize("singular", [False, True])
-    def test_refit_sequence_bit_identical_to_fresh(self, precision, singular):
+    def test_refit_sequence_bit_identical_to_fresh(self, singular):
         q = 12
         build = singular_system if singular else arrow_system
         damping = 0.0 if singular else 1e-4  # damping would mask the failure
-        plan = SolverPlan(9, q, precision=precision)
+        plan = SolverPlan(9, q)
         # grow -> shrink -> grow, with an empty landmark block on the way.
         for seed, p in enumerate((9, 30, 4, 17, 0, 45, 30, 46)):
             plan.fit(p)
             assert plan.matches(p, q)
             system = build(p, q, seed=seed)
-            fresh = SolverPlan(p, q, precision=precision)
+            fresh = SolverPlan(p, q)
             want_lambda, want_state, want_stats = fresh.execute(
                 *_parts(system), damping=damping
             )
@@ -167,52 +168,24 @@ class TestWidthRefit:
         plan.fit(41)  # past the capacity: new buffers
         assert not np.shares_memory(plan.w_scaled, w_scaled)
 
-    @pytest.mark.parametrize("precision", PRECISIONS)
-    def test_warm_refit_allocates_no_arrays(self, precision):
+    def test_warm_refit_allocates_no_arrays(self):
         """Looking up a width's plan for a smaller feature count and
         solving through it stays under the zero-allocation bound once the
         plan's capacity covers that count."""
-        if not HAVE_SCIPY:
-            pytest.skip("scipy-path contract")
         cache = SolverPlanCache()
         q = 150
         big = _parts(arrow_system(200, q, seed=0))
         small = _parts(arrow_system(120, q, seed=1))
-        cache.get(200, q, precision).execute(*big, damping=1e-4)
-        cache.get(120, q, precision).execute(*small, damping=1e-4)
+        cache.get(200, q).execute(*big, damping=1e-4)
+        cache.get(120, q).execute(*small, damping=1e-4)
         tracemalloc.start()
-        cache.get(200, q, precision).execute(*big, damping=1e-4)  # warm tracer
+        cache.get(200, q).execute(*big, damping=1e-4)  # warm tracer
         tracemalloc.reset_peak()
-        cache.get(120, q, precision).execute(*small, damping=1e-4)
+        cache.get(120, q).execute(*small, damping=1e-4)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < 32_768, f"refit + solve allocated {peak} bytes"
         assert cache.stats()["plans"] == 1
-
-
-class TestMixedPrecision:
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_refinement_reaches_float64(self, seed):
-        """float32 + refinement lands within 1e-9 of the float64 answer
-        (relative to the solution scale) on random SPD arrow systems."""
-        system = arrow_system(18, 15, seed=seed)
-        f64_lambda, f64_state = system.solve(
-            damping=1e-4, plan=SolverPlan(18, 15)
-        )
-        mixed = SolverPlan(18, 15, precision="mixed")
-        mix_lambda, mix_state = system.solve(damping=1e-4, plan=mixed)
-        scale = max(
-            np.abs(f64_state).max(), np.abs(f64_lambda).max(), 1.0
-        )
-        assert np.abs(mix_state - f64_state).max() <= 1e-9 * scale
-        assert np.abs(mix_lambda - f64_lambda).max() <= 1e-9 * scale
-        assert mixed.last_stats.refinement_iterations <= 8
-
-    def test_mixed_plan_allocates_float32_arenas(self):
-        plan = SolverPlan(6, 5, precision="mixed")
-        assert plan.factor32.dtype == np.float32
-        assert plan.rhs32.dtype == np.float32
 
 
 class TestJitterPolicy:
@@ -267,9 +240,6 @@ class TestZeroAllocation:
         transient allocation — far below any (q, q) or (q, p) buffer
         (180 KiB / 240 KiB at this scale), proving every matrix-sized
         operand lives in the preallocated arenas."""
-        if not HAVE_SCIPY:
-            pytest.skip("numpy-fallback Cholesky column loop is measured "
-                        "per-column; the arena contract is scipy-path only")
         system = arrow_system(200, 150, seed=0)
         plan = SolverPlan(200, 150)
         parts = _parts(system)
@@ -281,21 +251,6 @@ class TestZeroAllocation:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < 32_768, f"solve stage allocated {peak} bytes"
-
-    def test_warm_mixed_execute_allocates_no_arrays(self):
-        if not HAVE_SCIPY:
-            pytest.skip("scipy-path contract")
-        system = arrow_system(200, 150, seed=1)
-        plan = SolverPlan(200, 150, precision="mixed")
-        parts = _parts(system)
-        plan.execute(*parts, damping=1e-4)
-        tracemalloc.start()
-        plan.execute(*parts, damping=1e-4)
-        tracemalloc.reset_peak()
-        plan.execute(*parts, damping=1e-4)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak < 32_768, f"mixed solve stage allocated {peak} bytes"
 
 
 class TestPlanCache:
@@ -313,10 +268,6 @@ class TestPlanCache:
         }
         cache.clear()
         assert cache.stats()["plans"] == 0 and cache.stats()["hits"] == 0
-
-    def test_precision_keys_separately(self):
-        cache = SolverPlanCache()
-        assert cache.get(5, 5) is not cache.get(5, 5, precision="mixed")
 
     def test_thread_keyed_plans_are_distinct(self):
         cache = SolverPlanCache()
@@ -404,7 +355,6 @@ class TestNlsIntegration:
     def test_stats_dataclass_defaults(self):
         stats = PlanSolveStats()
         assert stats.jitter == 0.0 and not stats.jitter_applied
-        assert stats.refinement_iterations == 0
 
 
 def singular_system(p, q, seed=0):
