@@ -15,22 +15,15 @@ import numpy as np
 from repro.errors import SolverError
 from repro.linalg.cholesky import cholesky_evaluate_update, solve_cholesky
 from repro.slam.nls import LMConfig, LMResult
-from repro.slam.problem import WindowProblem, _U_FLOOR
+from repro.slam.problem import WindowProblem
 
 
 def _dense_solve(system, damping: float) -> tuple[np.ndarray, np.ndarray]:
     """Solve the full arrow system densely (no Schur elimination)."""
-    p = len(system.feature_ids)
-    u = np.maximum(system.u_diag, _U_FLOOR) + damping
-    full = np.block(
-        [
-            [np.diag(u), system.w_block.T],
-            [system.w_block, system.v_block + damping * np.eye(system.v_block.shape[0])],
-        ]
-    )
-    rhs = np.concatenate([system.b_x, system.b_y])
+    full, rhs = system.dense(damping)
     factor, _ = cholesky_evaluate_update(full, jitter=1e-9)
     solution = solve_cholesky(factor, rhs)
+    p = system.num_features
     return solution[:p], solution[p:]
 
 

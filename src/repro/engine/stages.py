@@ -182,7 +182,8 @@ class EstimatorStage(Stage):
     # factorization failure (was an unconditional 1e-9), shifting the
     # solve numerics at rounding level, and RunResult carries the
     # schur/chol/backsub timing split.
-    version = "3"
+    # v4: marginalization assembles through build_linear_system (priors move).
+    version = "4"
 
     def compute(self, config: EstimatorRequest, engine):
         sequence = engine.run(SEQUENCE, config.sequence)
@@ -206,7 +207,8 @@ class TraceStage(Stage):
     name = "trace-cosim"
     # v2: consumes estimator-run v2 outputs (batched backend numerics).
     # v3: consumes estimator-run v3 outputs (SolverPlan solve numerics).
-    version = "3"
+    # v4: consumes estimator-run v4 outputs (arrow-system marginalization).
+    version = "4"
 
     def compute(self, config: TraceRequest, engine):
         run = engine.run(ESTIMATOR, config.run)
@@ -256,7 +258,8 @@ class SynthesisStage(Stage):
 
 class PolicyStage(Stage):
     name = "runtime-policy"
-    version = "1"
+    # v2: trained on replays with the arrow-system marginalization numerics.
+    version = "2"
 
     def compute(self, config, engine):
         # Lazy: training replays serve profiles, and repro.serve imports
@@ -279,7 +282,8 @@ class ReplayStage(Stage):
     name = "runtime-replay"
     # v2: consumes estimator-run v2 outputs (batched backend numerics).
     # v3: consumes estimator-run v3 outputs (SolverPlan solve numerics).
-    version = "3"
+    # v4: consumes estimator-run v4 outputs (arrow-system marginalization).
+    version = "4"
 
     def compute(self, config: ReplayRequest, engine):
         run = engine.run(ESTIMATOR, config.run)

@@ -25,7 +25,6 @@ from repro.linalg.schur import (
     d_type_schur,
     d_type_schur_into,
     m_type_schur,
-    schur_condense,
 )
 from repro.linalg.blocked import blocked_inverse
 from repro.linalg.plan import (
@@ -48,7 +47,6 @@ __all__ = [
     "d_type_back_substitute",
     "d_type_back_substitute_into",
     "m_type_schur",
-    "schur_condense",
     "blocked_inverse",
     "PlanSolveStats",
     "SolverPlan",

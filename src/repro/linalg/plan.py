@@ -48,9 +48,9 @@ from scipy.linalg import cholesky, solve_triangular
 from repro.errors import ConfigurationError, SolverError
 from repro.linalg.schur import d_type_back_substitute_into, d_type_schur_into
 
-#: Diagonal floor applied to the landmark block before elimination —
-#: mirrors ``repro.slam.problem._U_FLOOR`` (kept local to avoid a
-#: linalg -> slam dependency; the value is asserted equal in tests).
+#: Diagonal floor applied to the landmark block before elimination; the
+#: dense materialization (``repro.slam.problem.LinearSystem.dense``)
+#: applies the same constant.
 U_FLOOR = 1e-8
 
 #: Jitter escalation schedule: nothing on the first attempt, then each

@@ -4,9 +4,6 @@
   ``U`` (landmark block); O(n) inversion, exploited per feature point.
 * ``m_type_schur`` — marginalization's ``A - Lambda M^-1 Lambda^T`` with a
   generic ``M``, inverted through the blocked formula of Equ. 5.
-* ``schur_condense`` — convenience wrapper that reduces a full
-  ``[[U, W^T], [W, V]]`` system onto the keyframe block and provides the
-  back-substitution that recovers the eliminated (landmark) unknowns.
 """
 
 from __future__ import annotations
@@ -155,20 +152,3 @@ def m_type_schur(
     # across windows through the prior.
     prior_matrix = 0.5 * (prior_matrix + prior_matrix.T)
     return prior_matrix, prior_vector
-
-
-def schur_condense(
-    u_diagonal: np.ndarray,
-    w_block: np.ndarray,
-    v_block: np.ndarray,
-    b_x: np.ndarray,
-    b_y: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce ``[[diag(u), W^T], [W, V]] [dx, dy] = [b_x, b_y]`` onto dy.
-
-    Returns the reduced (matrix, rhs) for the keyframe unknowns; combine
-    with :func:`d_type_back_substitute` to recover dx.
-    """
-    reduced, reduced_rhs = d_type_schur(v_block, w_block, u_diagonal, b_x=b_x, b_y=b_y)
-    assert reduced_rhs is not None
-    return reduced, reduced_rhs

@@ -15,7 +15,7 @@ this is the hook the run-time system of Sec. 6 uses to trade iterations
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -392,17 +392,9 @@ class SlidingWindowEstimator:
             if cap_override is not None
             else self._iteration_cap(feature_count)
         )
-        lm_config = LMConfig(
-            max_iterations=cap,
-            initial_damping=self.config.lm.initial_damping,
-            damping_up=self.config.lm.damping_up,
-            damping_down=self.config.lm.damping_down,
-            cost_tolerance=self.config.lm.cost_tolerance,
-            step_tolerance=self.config.lm.step_tolerance,
-        )
         lm_result = levenberg_marquardt(
             problem,
-            lm_config,
+            replace(self.config.lm, max_iterations=cap),
             trace=self.config.trace,
             span_attributes={"frame_id": frame_id, "features": feature_count},
         )

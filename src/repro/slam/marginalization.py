@@ -1,9 +1,11 @@
 """Marginalization: fold departing variables into a prior (Sec. 3.1/3.2.3).
 
 When the window slides, the oldest keyframe's 15-DoF state and every
-feature *anchored* at it are marginalized. The joint information of the
-participating factors is blocked as ``[[M, Lambda^T], [Lambda, A]]`` with
-the marginalized variables ordered landmarks-first, which makes the
+feature *anchored* at it are marginalized. Their factors form a
+sub-problem whose arrow system comes from the same
+:meth:`~repro.slam.problem.WindowProblem.build_linear_system` an LM step
+uses. Its joint information is blocked as ``[[M, Lambda^T], [Lambda, A]]``
+with the marginalized variables ordered landmarks-first, which makes the
 leading sub-block of ``M`` diagonal — the cost-optimal blocking of
 Sec. 3.2.3 that lets the hardware reuse the D-type Schur unit inside the
 M-type Schur computation. The Schur complement ``Hp = A - Lambda M^-1
@@ -13,14 +15,21 @@ Lambda^T`` and ``rp = br - Lambda M^-1 bm`` become the next window's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
-from repro.geometry.navstate import NavState, STATE_DIM
+from repro.geometry.navstate import STATE_DIM
 from repro.linalg.schur import m_type_schur
-from repro.slam.problem import POSE_DOF, WindowProblem, _U_FLOOR
+from repro.slam.batch import huber_scales_batch
+from repro.slam.problem import WindowProblem
 from repro.slam.residuals import PriorFactor
+
+# Visual factors whose Huber IRLS scale falls below this are gross
+# outliers and stay out of the prior entirely: the prior is never
+# re-evaluated, so a baked-in outlier would poison every later window.
+_OUTLIER_SCALE = 0.2
 
 
 @dataclass
@@ -29,8 +38,6 @@ class MarginalizationResult:
 
     prior: PriorFactor | None
     marginalized_features: list[int]
-    removed_visual_factors: int
-    removed_imu_factors: int
 
 
 def marginalize_window(problem: WindowProblem, marg_frame_id: int) -> MarginalizationResult:
@@ -49,105 +56,54 @@ def marginalize_window(problem: WindowProblem, marg_frame_id: int) -> Marginaliz
     if marg_frame_id not in problem.states:
         raise ValueError(f"keyframe {marg_frame_id} is not in the window")
 
-    marg_features = sorted(
-        {f.feature_id for f in problem.visual_factors if f.anchor == marg_frame_id}
-    )
     visual = [f for f in problem.visual_factors if f.anchor == marg_frame_id]
-    imu = [
-        f
-        for f in problem.imu_factors
-        if marg_frame_id in (f.frame_i, f.frame_j)
-    ]
+    marg_features = sorted({f.feature_id for f in visual})
+    imu = [f for f in problem.imu_factors if marg_frame_id in (f.frame_i, f.frame_j)]
     priors = [p for p in problem.priors if marg_frame_id in p.frame_ids]
 
-    involved_frames = {marg_frame_id}
-    for f in visual:
-        involved_frames.add(f.target)
+    frames = {marg_frame_id}
+    frames.update(f.target for f in visual)
     for f in imu:
-        involved_frames.update((f.frame_i, f.frame_j))
+        frames.update((f.frame_i, f.frame_j))
     for p in priors:
-        involved_frames.update(p.frame_ids)
-    keep_frames = sorted(involved_frames - {marg_frame_id})
-
-    num_marg_feat = len(marg_features)
-    marg_dim = num_marg_feat + STATE_DIM
-    keep_dim = STATE_DIM * len(keep_frames)
-    total = marg_dim + keep_dim
-
-    if keep_dim == 0:
+        frames.update(p.frame_ids)
+    if len(frames) == 1:
         # Nothing couples to the departing variables; their information
         # simply leaves the problem.
-        return MarginalizationResult(None, marg_features, len(visual), len(imu))
+        return MarginalizationResult(None, marg_features)
 
-    # Variable layout: [marg features | marg keyframe | keep keyframes].
-    feature_index = {fid: i for i, fid in enumerate(marg_features)}
-    frame_offset = {marg_frame_id: num_marg_feat}
-    for i, fid in enumerate(keep_frames):
-        frame_offset[fid] = marg_dim + STATE_DIM * i
+    sub = WindowProblem(
+        camera=problem.camera,
+        states={fid: problem.states[fid] for fid in frames},
+        inv_depths={fid: problem.inv_depths[fid] for fid in marg_features},
+        visual_factors=visual,
+        imu_factors=imu,
+        priors=priors,
+        huber_delta=problem.huber_delta,
+        backend=problem.backend,
+    )
+    if problem.huber_delta is not None:
+        # Rows behind the camera carry no residual; the build culls them
+        # whichever way the filter goes.
+        _, residuals = sub.visual_residuals()
+        inliers = huber_scales_batch(residuals, problem.huber_delta) >= _OUTLIER_SCALE
+        sub = replace(sub, visual_factors=list(compress(visual, inliers)))
 
-    h_full = np.zeros((total, total))
-    g_full = np.zeros(total)
-
-    for factor in visual:
-        lin = factor.linearize(
-            problem.camera,
-            problem.states[factor.anchor],
-            problem.states[factor.target],
-            problem.inv_depths[factor.feature_id],
-        )
-        if lin is None:
-            continue
-        # Respect the problem's robust kernel: an outlier track must not
-        # enter the prior at full quadratic weight (the prior is never
-        # re-evaluated, so baked-in outliers poison every later window).
-        robust_scale = problem._huber_scale(lin.residual)
-        if problem.huber_delta is not None and robust_scale < 0.2:
-            continue  # gross outlier: exclude from the prior entirely
-        cols_f = [feature_index[factor.feature_id]]
-        cols_h = list(range(frame_offset[factor.anchor], frame_offset[factor.anchor] + POSE_DOF))
-        cols_t = list(range(frame_offset[factor.target], frame_offset[factor.target] + POSE_DOF))
-        jacobian = np.zeros((2, total))
-        jacobian[:, cols_f] = lin.jac_inv_depth
-        jacobian[:, cols_h] += lin.jac_pose_anchor
-        jacobian[:, cols_t] += lin.jac_pose_target
-        weight = lin.weight * robust_scale
-        h_full += weight * (jacobian.T @ jacobian)
-        g_full -= weight * (jacobian.T @ lin.residual)
-
-    for factor in imu:
-        lin = factor.linearize(problem.states[factor.frame_i], problem.states[factor.frame_j])
-        jacobian = np.zeros((15, total))
-        oi, oj = frame_offset[factor.frame_i], frame_offset[factor.frame_j]
-        jacobian[:, oi : oi + STATE_DIM] = lin.jac_i
-        jacobian[:, oj : oj + STATE_DIM] = lin.jac_j
-        weighted = jacobian.T @ lin.information
-        h_full += weighted @ jacobian
-        g_full -= weighted @ lin.residual
-
-    for prior in priors:
-        h_prior, g_prior = prior.contribution(problem.states)
-        idx = np.concatenate(
-            [frame_offset[fid] + np.arange(STATE_DIM) for fid in prior.frame_ids]
-        )
-        h_full[np.ix_(idx, idx)] += h_prior
-        g_full[idx] += g_prior
-
-    # Regularize the landmark diagonal so weakly-observed features do not
-    # make M singular.
-    for i in range(num_marg_feat):
-        if h_full[i, i] < _U_FLOOR:
-            h_full[i, i] = _U_FLOOR
-
-    m_block = h_full[:marg_dim, :marg_dim]
-    lam = h_full[marg_dim:, :marg_dim]
-    a_block = h_full[marg_dim:, marg_dim:]
+    # Dense layout [landmarks | frames]; M is the landmarks plus the
+    # departing keyframe, A the kept keyframes.
+    system = sub.build_linear_system()
+    full, rhs = system.dense()
+    num_features = system.num_features
+    k = num_features + STATE_DIM * system.frame_ids.index(marg_frame_id)
+    marg = np.r_[0:num_features, k : k + STATE_DIM]
+    keep = np.r_[num_features:k, k + STATE_DIM : full.shape[0]]
     hp, rp = m_type_schur(
-        a_block,
-        lam,
-        m_block,
-        b_m=g_full[:marg_dim],
-        b_r=g_full[marg_dim:],
-        m_diagonal_split=num_marg_feat if num_marg_feat else None,
+        full[np.ix_(keep, keep)],
+        full[np.ix_(keep, marg)],
+        full[np.ix_(marg, marg)],
+        b_m=rhs[marg],
+        b_r=rhs[keep],
+        m_diagonal_split=num_features,
     )
 
     # Guard against negative eigenvalues from floating-point cancellation
@@ -156,10 +112,11 @@ def marginalize_window(problem: WindowProblem, marg_frame_id: int) -> Marginaliz
     if eigvals[0] < 0.0:
         hp = hp + (1e-9 - eigvals[0]) * np.eye(hp.shape[0])
 
+    keep_frames = [fid for fid in system.frame_ids if fid != marg_frame_id]
     prior = PriorFactor(
         frame_ids=keep_frames,
         hp=hp,
         rp=rp,
         lin_states=[problem.states[fid] for fid in keep_frames],
     )
-    return MarginalizationResult(prior, marg_features, len(visual), len(imu))
+    return MarginalizationResult(prior, marg_features)

@@ -24,7 +24,7 @@ import numpy as np
 from repro.errors import SolverError
 from repro.geometry.camera import PinholeCamera
 from repro.geometry.navstate import NavState, STATE_DIM
-from repro.linalg.plan import SolverPlan, default_plan_cache
+from repro.linalg.plan import U_FLOOR, SolverPlan, default_plan_cache
 from repro.slam.batch import (
     VisualFactorBatch,
     accumulate_visual_batch,
@@ -37,7 +37,6 @@ from repro.slam.residuals import ImuFactor, PriorFactor, VisualFactor
 POSE_DOF = 6
 MIN_INV_DEPTH = 1e-4
 MAX_INV_DEPTH = 1e2
-_U_FLOOR = 1e-8
 BACKENDS = ("batched", "loop")
 
 
@@ -97,24 +96,31 @@ class LinearSystem:
             return d_lambda.copy(), d_state.copy()
         return d_lambda, d_state
 
+    def dense(self, damping: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """``[[diag(max(u, U_FLOOR) + d), W^T], [W, V + d I]]`` and ``[b_x, b_y]``.
+
+        The one dense materialization of the arrow system, with the floor
+        and damping the structured plan applies in place.
+        """
+        u_damped = np.maximum(self.u_diag, U_FLOOR) + damping
+        v_damped = self.v_block + damping * np.eye(self.v_block.shape[0])
+        full = np.block([[np.diag(u_damped), self.w_block.T], [self.w_block, v_damped]])
+        return full, np.concatenate([self.b_x, self.b_y])
+
     def solve_dense(self, damping: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """Solve the full arrow system densely — the conformance oracle.
 
-        Materializes ``[[diag(u), W^T], [W, V]]`` (with the same diagonal
-        floor and damping as the structured path) and solves it with
-        ``numpy.linalg.solve``. Deliberately independent of the
-        plan/Schur machinery so the ``plan_solve`` differential oracle in
-        :mod:`repro.testing` compares two genuinely distinct
-        implementations.
+        Solves :meth:`dense` with ``numpy.linalg.solve``. Deliberately
+        independent of the plan/Schur machinery so the ``plan_solve``
+        differential oracle in :mod:`repro.testing` compares two genuinely
+        distinct implementations.
         """
-        p = self.num_features
-        u_damped = np.maximum(self.u_diag, _U_FLOOR) + damping
-        v_damped = self.v_block + damping * np.eye(self.v_block.shape[0])
-        full = np.block([[np.diag(u_damped), self.w_block.T], [self.w_block, v_damped]])
+        full, rhs = self.dense(damping)
         try:
-            solution = np.linalg.solve(full, np.concatenate([self.b_x, self.b_y]))
+            solution = np.linalg.solve(full, rhs)
         except np.linalg.LinAlgError as error:
             raise SolverError(f"dense solve failed: {error}") from error
+        p = self.num_features
         return solution[:p], solution[p:]
 
     @property
@@ -231,11 +237,17 @@ class WindowProblem:
             return 0.5 * weight * squared
         return weight * delta * (norm - 0.5 * delta)
 
-    def _visual_cost_total(self) -> float:
-        """Summed visual cost under the active backend."""
+    def visual_residuals(self) -> tuple[np.ndarray, np.ndarray]:
+        """In-front-of-camera mask and residual of every visual factor.
+
+        Rows follow ``visual_factors``; residuals of rows behind the
+        camera are meaningless. The backend picks the per-factor loop or
+        one batched kernel call.
+        """
         if self.backend == "loop":
-            total = 0.0
-            for factor in self.visual_factors:
+            valid = np.zeros(len(self.visual_factors), dtype=bool)
+            residuals = np.zeros((len(self.visual_factors), 2))
+            for i, factor in enumerate(self.visual_factors):
                 residual = factor.residual_only(
                     self.camera,
                     self.states[factor.anchor],
@@ -243,19 +255,27 @@ class WindowProblem:
                     self.inv_depths[factor.feature_id],
                 )
                 if residual is not None:
-                    total += self._visual_cost(residual, factor.weight)
-            return total
-        batch = self._visual_batch()
-        if batch.num_observations == 0:
-            return 0.0
+                    valid[i] = True
+                    residuals[i] = residual
+            return valid, residuals
         frame_ids, feature_ids = self._sorted_ids()
         rotations, translations = self._pose_stacks(frame_ids)
-        valid, residuals = visual_residuals_batch(
-            self.camera, batch, rotations, translations,
+        return visual_residuals_batch(
+            self.camera, self._visual_batch(), rotations, translations,
             self._inv_depth_vector(feature_ids),
         )
+
+    def _visual_cost_total(self) -> float:
+        """Summed visual cost under the active backend."""
+        valid, residuals = self.visual_residuals()
+        if self.backend == "loop":
+            total = 0.0
+            for factor, in_front, residual in zip(self.visual_factors, valid, residuals):
+                if in_front:
+                    total += self._visual_cost(residual, factor.weight)
+            return total
         costs = visual_costs_batch(
-            residuals[valid], batch.weights[valid], self.huber_delta
+            residuals[valid], self._visual_batch().weights[valid], self.huber_delta
         )
         return float(costs.sum())
 

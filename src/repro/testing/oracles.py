@@ -7,7 +7,7 @@ computation on a deterministic randomized workload and returns an
 
 * ``backend`` — the batched (SoA) estimator linearization against the
   per-factor loop reference: same cost, same normal equations, same
-  solution.
+  solution, same marginalization prior.
 * ``functional`` — the functional accelerator datapath
   (:func:`repro.hw.sim.functional.run_iteration_functional`) against the
   software :meth:`~repro.slam.problem.LinearSystem.solve`: identical
@@ -45,6 +45,7 @@ from repro.hw.config import HardwareConfig
 from repro.hw.fixedpoint import QFormat, wordlength_study
 from repro.hw.sim.functional import run_iteration_functional
 from repro.hw.sim.trace import simulate_windows
+from repro.slam.marginalization import marginalize_window
 from repro.testing.workloads import (
     make_random_window,
     make_stats_series,
@@ -233,7 +234,7 @@ def _hardware_config_for(workload: ConformanceWorkload) -> HardwareConfig:
 def run_backend_oracle(
     workload: ConformanceWorkload, perturbation: float = 0.0
 ) -> OracleReport:
-    """Batched SoA linearization must clone the per-factor loop."""
+    """Batched SoA linearization and marginalization must clone the loop."""
     report = OracleReport("backend", workload.label())
     tic = perf_counter()
     batched = make_random_window(
@@ -277,6 +278,17 @@ def run_backend_oracle(
     # flaking on ill-conditioned random windows.
     report.check_array("d_lambda", d_lambda_l, d_lambda_b, 1e-9, 1e-8)
     report.check_array("d_state", d_state_l, d_state_b, 1e-9, 1e-8)
+
+    # Marginalization assembles through the same backend, so sliding the
+    # oldest keyframe out (IMU-chained to the next) must fold the same prior.
+    oldest = min(loop.states)
+    prior_l = marginalize_window(loop, oldest).prior
+    prior_b = marginalize_window(batched, oldest).prior
+    hp_b = prior_b.hp
+    if perturbation:
+        hp_b = hp_b + perturbation * (np.abs(hp_b).max() + 1.0)
+    report.check_array("prior_hp", prior_l.hp, hp_b, 1e-9, 1e-8)
+    report.check_array("prior_rp", prior_l.rp, prior_b.rp, 1e-9, 1e-8)
 
     report.info = {
         "cost": cost_loop,

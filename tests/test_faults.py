@@ -107,11 +107,11 @@ class TestDegenerateWindow:
         solve() wrapper recovers via its jitter — both are graceful."""
         from repro.linalg.cholesky import cholesky_evaluate_update
         from repro.linalg.schur import d_type_schur
-        from repro.slam.problem import _U_FLOOR
+        from repro.linalg.plan import U_FLOOR
 
         problem = make_degenerate_window(seed=0)
         system = problem.build_linear_system()
-        u = np.maximum(system.u_diag, _U_FLOOR)
+        u = np.maximum(system.u_diag, U_FLOOR)
         reduced, _ = d_type_schur(
             system.v_block, system.w_block, u, b_x=system.b_x, b_y=system.b_y
         )

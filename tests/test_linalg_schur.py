@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SolverError
-from repro.linalg import blocked_inverse, d_type_schur, m_type_schur, schur_condense
+from repro.linalg import blocked_inverse, d_type_schur, m_type_schur
 from repro.linalg.schur import d_type_back_substitute
 
 
@@ -35,7 +35,7 @@ class TestDTypeSchur:
 
     def test_back_substitution_recovers_eliminated(self):
         u, w, v, full, rhs = build_arrow_system(10, 4, seed=2)
-        reduced, reduced_rhs = schur_condense(u, w, v, rhs[:10], rhs[10:])
+        reduced, reduced_rhs = d_type_schur(v, w, u, b_x=rhs[:10], b_y=rhs[10:])
         dy = np.linalg.solve(reduced, reduced_rhs)
         dx = d_type_back_substitute(w, u, rhs[:10], dy)
         x_full = np.linalg.solve(full, rhs)

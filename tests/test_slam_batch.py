@@ -11,12 +11,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.data import make_euroc_sequence
+from repro.data import make_euroc_sequence, make_sequence
 from repro.errors import SolverError
 from repro.geometry import SE3
 from repro.geometry.camera import PinholeCamera
 from repro.geometry.se3 import transform_points_batch, transform_to_body_batch
 from repro.geometry.so3 import hat, hat_batch, so3_exp
+from repro.scenarios import DEGENERATE_REGIMES, scenario_sequence_config
 from repro.slam import EstimatorConfig, SlidingWindowEstimator
 from repro.slam.batch import VisualFactorBatch, linearize_visual_batch
 from repro.slam.nls import LMConfig, levenberg_marquardt
@@ -250,6 +251,35 @@ class TestFullRunRegression:
             assert w_loop.iterations == w_batched.iterations
             assert w_loop.accepted_steps == w_batched.accepted_steps
             assert w_loop.final_cost == pytest.approx(w_batched.final_cost, rel=1e-9)
+
+    @pytest.fixture(scope="class")
+    def huber_runs(self):
+        """Both backends under the Huber kernel on every degenerate regime.
+
+        Marginalization follows the backend too, so each sliding step
+        folds its prior through the batched kernels or the factor loop.
+        """
+        runs = {}
+        for regime in DEGENERATE_REGIMES:
+            sequence = make_sequence(scenario_sequence_config(regime, 0, duration=3.0))
+            runs[regime] = {
+                backend: SlidingWindowEstimator(
+                    EstimatorConfig(huber_delta=2.0, backend=backend)
+                ).run(sequence)
+                for backend in ("loop", "batched")
+            }
+        return runs
+
+    @pytest.mark.parametrize("regime", DEGENERATE_REGIMES)
+    def test_huber_regime_runs_identical_across_backends(self, huber_runs, regime):
+        loop, batched = huber_runs[regime]["loop"], huber_runs[regime]["batched"]
+        assert len(loop.windows) == len(batched.windows) > 0
+        positions_loop = np.stack(loop.estimated_positions)
+        positions_batched = np.stack(batched.estimated_positions)
+        assert np.abs(positions_loop - positions_batched).max() < 1e-8
+        for w_loop, w_batched in zip(loop.windows, batched.windows):
+            assert w_loop.iterations == w_batched.iterations
+            assert w_loop.accepted_steps == w_batched.accepted_steps
 
     def test_stage_timings_populated(self, runs):
         run = runs["batched"]
