@@ -8,8 +8,10 @@ Sec. 3.3. The cycle-level simulator executes these kernels while it
 counts cycles, so functional results and timing come from the same code.
 
 :mod:`repro.linalg.plan` composes the allocation-free Schur kernels with
-SciPy's in-place Cholesky into the :class:`~repro.linalg.plan.SolverPlan`
-every solve path (estimator, functional HW sim, serving tier) executes.
+LAPACK's in-place ``dpotrf``/``dtrtrs``, called through SciPy's f2py
+binding ``scipy.linalg._flapack`` without importing ``scipy.linalg``, into
+the :class:`~repro.linalg.plan.SolverPlan` every solve path (estimator,
+functional HW sim, serving tier) executes.
 """
 
 from repro.linalg.cholesky import (

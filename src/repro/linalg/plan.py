@@ -28,25 +28,64 @@ once and streams every window through it whatever the feature count
   (:meth:`repro.slam.problem.LinearSystem.solve_dense`) remains the
   independent conformance oracle.
 
-The factorization and substitutions run through SciPy's in-place LAPACK
-wrappers (``potrf``/``trtrs`` on Fortran-ordered workspaces — no
-copies). The retry policy is **no jitter unless the factorization
-fails**, then escalating diagonal jitter, with the applied value
-reported in :class:`PlanSolveStats`.
+The factorization and substitutions are the paper's two solve blocks,
+the Evaluate/Update Cholesky and forward/backward substitution
+(Sec. 4.3), and run as exactly two LAPACK routines, ``dpotrf`` and
+``dtrtrs``, in place on Fortran-ordered workspaces (no copies). They
+are called through SciPy's f2py binding ``scipy.linalg._flapack``, the
+module whose routines ``scipy.linalg.cholesky`` and
+``scipy.linalg.solve_triangular`` call, with the arguments those
+functions pass, so every output bit is theirs. The binding is loaded
+straight from its file (:func:`_load_flapack`): importing
+``scipy.linalg`` would add about 28 MiB and some 300 modules to every
+process that solves, for two routines. The retry policy is **no jitter
+unless the factorization fails**, then escalating diagonal jitter,
+with the applied value reported in :class:`PlanSolveStats`.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+import scipy
 
 from repro.errors import ConfigurationError, SolverError
 from repro.linalg.schur import d_type_back_substitute_into, d_type_schur_into
+
+
+def _load_flapack():
+    """SciPy's f2py LAPACK module, without importing ``scipy.linalg``.
+
+    ``import scipy`` loads only the package (and runs its library-path
+    set-up); the extension file next to ``scipy/linalg/__init__.py`` is
+    then loaded by itself. A process that already imported it gets the
+    same module object.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    directory = Path(scipy.__file__).parent / "linalg"
+    # The first suffix is the interpreter's own ABI tag, the one SciPy
+    # wheels build with.
+    path = directory / f"_flapack{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+    if not path.is_file():
+        raise ImportError(f"no {path.name} in {directory}")
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
 
 #: Diagonal floor applied to the landmark block before elimination; the
 #: dense materialization (``repro.slam.problem.LinearSystem.dense``)
@@ -226,15 +265,13 @@ class SolverPlan:
                 # is a C-contiguous view with the same diagonal.
                 factor.T.reshape(-1)[:: self.state_dim + 1] += jitter
             stats.factor_attempts = attempt + 1
-            try:
-                result = cholesky(
-                    factor, lower=True, overwrite_a=True, check_finite=False
-                )
-            except np.linalg.LinAlgError:
+            # The Fortran-ordered float64 workspace is factored in place.
+            _, info = _flapack.dpotrf(factor, lower=1, overwrite_a=1, clean=1)
+            if info > 0:  # leading minor ``info`` is not positive definite
                 jitter = JITTER_INITIAL if jitter == 0.0 else jitter * JITTER_GROWTH
                 continue
-            if result is not factor and not np.shares_memory(result, factor):
-                np.copyto(factor, result)  # LAPACK declined in-place; keep contract
+            if info:
+                raise SolverError(f"dpotrf: illegal value in argument {-info}")
             stats.jitter = jitter
             stats.jitter_applied = jitter != 0.0
             return
@@ -255,15 +292,12 @@ class SolverPlan:
         if factor.shape[0] == 0:
             return
         np.copyto(out, rhs)
-        lower = solve_triangular(
-            factor, out, lower=True, overwrite_b=True, check_finite=False
-        )
-        upper = solve_triangular(
-            factor, lower, lower=True, trans="T", overwrite_b=True,
-            check_finite=False,
-        )
-        if upper is not out and not np.shares_memory(upper, out):
-            np.copyto(out, upper)
+        for trans in (0, 1):  # L y = rhs, then L^T out = y
+            _, info = _flapack.dtrtrs(
+                factor, out, overwrite_b=1, lower=1, trans=trans, unitdiag=0
+            )
+            if info:
+                raise SolverError(f"dtrtrs failed with info {info} (trans={trans})")
 
 
 # ----------------------------------------------------------------------

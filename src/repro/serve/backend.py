@@ -90,8 +90,9 @@ class ThreadBackend:
             self._executor = None
 
 
-def _worker_loop(conn, sessions: dict[int, Session]) -> None:
-    """Body of one forked worker: owns a subset of sessions forever.
+def _worker_loop(conn, parent_ends, sessions: dict[int, Session]) -> None:
+    """Body of one forked worker: owns a subset of sessions until told to
+    stop or until its parent goes away.
 
     The ``fork`` start method hands the built sessions over by memory
     inheritance (no pickling of estimator state); from then on the
@@ -100,10 +101,23 @@ def _worker_loop(conn, sessions: dict[int, Session]) -> None:
     estimator steps apply in exactly the event-loop order. A command
     that raises is answered with the exception's type and message, so
     the parent's :class:`ServeError` names the cause.
+
+    The fork also copies the parent's ends of this backend's pipes, and
+    a copy held here would keep the worker's own pipe open forever; the
+    worker closes them first. When the parent then closes its end
+    without sending STOP (it dropped the backend, or it died), ``recv``
+    raises ``EOFError`` and the worker exits quietly. (Workers that
+    another backend forks later in the same parent hold copies too; the
+    EOF then waits for them to exit.)
     """
+    for end in parent_ends:
+        end.close()
     try:
         while True:
-            message = conn.recv()
+            try:
+                message = conn.recv()
+            except EOFError:
+                break
             kind = message[0]
             if kind == _CMD_STOP:
                 break
@@ -169,7 +183,11 @@ class ProcessBackend:
             parent_conn, child_conn = context.Pipe()
             proc = context.Process(
                 target=_worker_loop,
-                args=(child_conn, {sid: sessions[sid] for sid in owned}),
+                args=(
+                    child_conn,
+                    [*self._pipes, parent_conn],
+                    {sid: sessions[sid] for sid in owned},
+                ),
                 daemon=True,
             )
             proc.start()

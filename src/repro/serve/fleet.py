@@ -525,21 +525,27 @@ class FleetCoordinator:
         # Build + fork sequentially on the calling thread (fork safety),
         # then run every shard's event loop on its own thread. Thread
         # backends stay GIL-bound (the oracle); process backends put each
-        # shard's numerics on separate cores.
+        # shard's numerics on separate cores. A failed prepare stops the
+        # workers of every shard started so far, its own included.
         live: list[tuple[ShardSpec, LocalizationService]] = []
-        for spec in self.specs:
-            if not spec.session_ids:
-                continue
-            service = shard_service(
-                self.profile,
-                spec,
-                engine=self.engine_factory(),
-                fidelity=self.fidelity,
-                backend=self.backend,
-                workers=self.workers,
-            )
-            service.prepare()
-            live.append((spec, service))
+        try:
+            for spec in self.specs:
+                if not spec.session_ids:
+                    continue
+                service = shard_service(
+                    self.profile,
+                    spec,
+                    engine=self.engine_factory(),
+                    fidelity=self.fidelity,
+                    backend=self.backend,
+                    workers=self.workers,
+                )
+                live.append((spec, service))
+                service.prepare()
+        except BaseException:
+            for _, service in live:
+                service.close()
+            raise
         if not live:
             raise ServeError("fleet plan left every shard empty")
 

@@ -335,6 +335,15 @@ class LocalizationService:
         self.prepare_seconds = time.perf_counter() - prep_started
         self._prepared = True
 
+    def close(self) -> None:
+        """Stop the execution backend and its workers (idempotent).
+
+        :meth:`run` always closes; a caller that prepared a service but
+        will not run it must close it instead.
+        """
+        if self._backend is not None:
+            self._backend.stop()
+
     def run(self) -> ServeReport:
         self.prepare()
         started = time.perf_counter()
@@ -350,7 +359,7 @@ class LocalizationService:
                 self._pump(t)
                 self._dispatch(t)
         finally:
-            self._backend.stop()
+            self.close()
 
         for session in self.sessions.values():
             session.maybe_drain()

@@ -93,11 +93,18 @@ class TestRelaxationSolver:
     def test_scipy_optimize_loads_only_with_the_solver(self):
         """Serving, the estimator and the engine leave scipy.optimize (and
         the scipy.sparse/.spatial/.special it brings) out of every process;
-        the relaxation solver loads it on first use."""
+        the relaxation solver loads it on first use. Solving never imports
+        scipy.linalg: the plan loads only its LAPACK binding."""
         code = (
             "import sys\n"
             "import repro.serve, repro.slam.estimator, repro.engine\n"
+            "from repro.linalg.plan import SolverPlan\n"
             "from repro.synth import DesignSpec, relaxation_search\n"
+            "from repro.testing.workloads import make_random_window\n"
+            "system = make_random_window(0).build_linear_system()\n"
+            "system.solve(damping=1e-4, plan=SolverPlan(\n"
+            "    len(system.u_diag), len(system.b_y)))\n"
+            "print('scipy.linalg' in sys.modules)\n"
             "print('scipy.optimize' in sys.modules)\n"
             "relaxation_search(DesignSpec(latency_budget_s=0.030))\n"
             "print('scipy.optimize' in sys.modules)\n"
@@ -111,4 +118,4 @@ class TestRelaxationSolver:
             timeout=120,
         )
         assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.split() == ["False", "True"]
+        assert completed.stdout.split() == ["False", "False", "True"]

@@ -1,5 +1,7 @@
 """Tests for the SolverPlan layer: arenas, reuse, caching."""
 
+import re
+import sys
 import threading
 import tracemalloc
 
@@ -9,7 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, SolverError
+from repro.linalg import plan as plan_module
 from repro.linalg.plan import (
+    JITTER_GROWTH,
+    JITTER_INITIAL,
+    MAX_FACTOR_ATTEMPTS,
     PlanSolveStats,
     SolverPlan,
     SolverPlanCache,
@@ -232,6 +238,90 @@ class TestJitterPolicy:
         system.solve(damping=0.0, plan=plan)
         # reduced must hold the *unjittered* Schur complement (zeros).
         assert np.array_equal(plan.reduced, np.zeros((q, q)))
+
+
+def scipy_reference_solve(reduced, rhs):
+    """The plan's factor-and-substitute step through scipy.linalg's public
+    functions, with the same jitter-on-failure schedule.
+
+    Returns ``(factor, d_state, factor_attempts, jitter)``.
+    """
+    import scipy.linalg
+
+    q = reduced.shape[0]
+    jitter = 0.0
+    for attempt in range(1, MAX_FACTOR_ATTEMPTS + 1):
+        jittered = reduced.copy()
+        if jitter:
+            jittered[np.diag_indices(q)] += jitter
+        try:
+            factor = scipy.linalg.cholesky(jittered, lower=True)
+        except np.linalg.LinAlgError:
+            jitter = JITTER_INITIAL if jitter == 0.0 else jitter * JITTER_GROWTH
+            continue
+        forward = scipy.linalg.solve_triangular(factor, rhs, lower=True)
+        d_state = scipy.linalg.solve_triangular(
+            factor, forward, lower=True, trans="T"
+        )
+        return factor, d_state, attempt, jitter
+    raise AssertionError("reference Cholesky never succeeded")
+
+
+class TestLapackBitIdentity:
+    """The plan calls dpotrf/dtrtrs directly; its factor and solution must
+    equal scipy.linalg.cholesky + solve_triangular byte for byte."""
+
+    @staticmethod
+    def assert_matches_scipy(plan):
+        factor, d_state, attempts, jitter = scipy_reference_solve(
+            plan.reduced, plan.reduced_rhs
+        )
+        assert plan.factor.tobytes() == factor.tobytes()
+        assert plan.d_state.tobytes() == d_state.tobytes()
+        assert plan.last_stats.factor_attempts == attempts
+        assert plan.last_stats.jitter == jitter
+
+    @pytest.mark.parametrize("case", range(24))
+    def test_random_spd_systems(self, case):
+        rng = np.random.default_rng(1000 + case)
+        q = int(rng.integers(15, 151))
+        p = int(rng.integers(0, 201))
+        damping = float(rng.choice([0.0, 1e-4, 0.5]))
+        plan = SolverPlan(p, q)
+        plan.execute(*_parts(arrow_system(p, q, seed=case)), damping=damping)
+        assert plan.last_stats.factor_attempts == 1
+        self.assert_matches_scipy(plan)
+
+    def test_jitter_retry(self):
+        """A rank-deficient reduced system fails the jitter-free attempt."""
+        p, q = 4, 15
+        rng = np.random.default_rng(7)
+        low_rank = rng.normal(size=(q, q - 3))
+        system = LinearSystem(
+            u_diag=np.ones(p), w_block=np.zeros((q, p)),
+            v_block=low_rank @ low_rank.T, b_x=np.zeros(p),
+            b_y=rng.normal(size=q),
+            feature_ids=list(range(p)), frame_ids=[0],
+        )
+        plan = SolverPlan(p, q)
+        system.solve(damping=0.0, plan=plan)
+        assert plan.last_stats.factor_attempts > 1
+        self.assert_matches_scipy(plan)
+
+    def test_binding_is_scipys_own_module(self):
+        import scipy.linalg
+
+        assert plan_module._flapack is sys.modules["scipy.linalg._flapack"]
+        assert scipy.linalg.lapack.dpotrf is plan_module._flapack.dpotrf
+        assert scipy.linalg.lapack.dtrtrs is plan_module._flapack.dtrtrs
+
+    def test_missing_binding_names_the_directory(self, monkeypatch, tmp_path):
+        import scipy
+
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+            plan_module._load_flapack()
 
 
 class TestZeroAllocation:

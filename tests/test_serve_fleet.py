@@ -15,7 +15,9 @@ The load-bearing properties:
 """
 
 import json
+import multiprocessing
 import pickle
+import time
 
 import pytest
 
@@ -291,6 +293,57 @@ class TestBackends:
         finally:
             backend.stop()
         assert not any(proc.is_alive() for proc in procs)
+
+    def test_worker_exits_when_parent_end_closes(self):
+        """A worker must not outlive its pipe: once the parent's end is
+        closed without STOP (a dropped backend, a dead parent), the
+        worker sees EOF and exits."""
+        backend = ProcessBackend(1)
+        backend.start({})
+        proc = backend._procs[0]
+        try:
+            backend._pipes[0].close()
+            proc.join(timeout=5.0)
+            assert not proc.is_alive()
+            assert proc.exitcode == 0
+        finally:
+            backend.stop()
+
+
+def wait_until(predicate, timeout_s=5.0):
+    """Poll ``predicate`` until it holds or ``timeout_s`` passes."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+class TestFleetFailure:
+    def test_failed_prepare_stops_started_shards(self, monkeypatch):
+        """When a shard's prepare raises, the workers of every shard the
+        fleet already started are stopped before the error propagates —
+        not left to garbage collection, which the held traceback defers."""
+        real_prepare = LocalizationService.prepare
+        calls = []
+
+        def failing_prepare(service):
+            real_prepare(service)
+            calls.append(service.shard_id)
+            if len(calls) == 2:
+                raise RuntimeError("prepare failed")
+
+        monkeypatch.setattr(LocalizationService, "prepare", failing_prepare)
+        before = set(multiprocessing.active_children())
+        with pytest.raises(RuntimeError, match="prepare failed") as excinfo:
+            run_fleet(fleet_profile(), 2, backend="process")
+        assert len(calls) == 2
+        # excinfo's traceback still references both shard services here.
+        assert wait_until(
+            lambda: not set(multiprocessing.active_children()) - before
+        )
+        assert excinfo.type is RuntimeError
 
 
 def scenario_fleet_profile(regime, **overrides):
