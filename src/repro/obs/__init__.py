@@ -1,14 +1,15 @@
 """``repro.obs`` — the unified, dependency-free observability layer.
 
-One tracer and one metrics registry shared by every layer of the stack:
+One tracer shared by every layer of the stack, one histogram and one
+metrics-file layout:
 
 * :mod:`repro.obs.tracer` — nestable :class:`Span` contexts recorded
   into a thread-safe per-run :class:`Trace` (wall or virtual clock),
   exported as Chrome ``trace_event`` JSON or flat JSONL;
-* :mod:`repro.obs.metrics` — counters, gauges and the log-binned
-  :class:`LatencyHistogram` (the single histogram implementation; the
-  serve tier re-exports it), collected in a :class:`MetricsRegistry`
-  with Prometheus text dumps and a canonical ``OBS_METRICS.json``;
+* :mod:`repro.obs.metrics` — the log-binned :class:`LatencyHistogram`
+  (the single histogram implementation; the serve tier re-exports it)
+  and :func:`~repro.obs.metrics.metrics_layout`, the counters/gauges/
+  histograms layout of ``OBS_METRICS.json``;
 * ``python -m repro.obs report <trace.jsonl>`` — per-category latency
   rollup; ``validate`` checks a Chrome export, or a JSON artifact
   listed in :data:`repro.obs.validate.ARTIFACTS`, against its schema.
@@ -16,12 +17,7 @@ One tracer and one metrics registry shared by every layer of the stack:
 See ``docs/observability.md`` for the full tour.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import LatencyHistogram
 from repro.obs.report import RollupRow, render_rollup, rollup
 from repro.obs.tracer import (
     CLOCK_VIRTUAL,
@@ -37,10 +33,7 @@ from repro.obs.tracer import (
 __all__ = [
     "CLOCK_VIRTUAL",
     "CLOCK_WALL",
-    "Counter",
-    "Gauge",
     "LatencyHistogram",
-    "MetricsRegistry",
     "RollupRow",
     "Span",
     "Trace",

@@ -1,20 +1,16 @@
-"""Process-local metrics: counters, gauges, log-binned histograms.
+"""Log-binned latency histograms and the ``OBS_METRICS.json`` layout.
 
 This is the single home of the fixed-bin log-scale latency histogram
 (previously a private implementation inside ``repro.serve.telemetry``;
-the serve tier now re-exports it from here). A :class:`MetricsRegistry`
-collects named metrics, dumps them in Prometheus text-exposition format
-for eyeballing/scraping, and exports a canonical ``OBS_METRICS.json``
-(sorted keys, fixed layout) so two deterministic runs agree iff their
-files are byte-identical. Stdlib only.
+the serve tier now re-exports it from here). :func:`metrics_layout`
+owns the counters/gauges/histograms layout of ``OBS_METRICS.json`` and
+of ``SCENARIOS.json``'s ``obs`` section; callers build it from the
+final values of a run. Stdlib only.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import threading
-from pathlib import Path
 
 # Log-spaced latency bins: 0.05 ms .. ~53 s, 20 bins per decade. Fixed
 # edges (rather than adaptive ones) keep histograms mergeable and the
@@ -117,119 +113,16 @@ class LatencyHistogram:
         }
 
 
-class Counter:
-    """A monotonically increasing value."""
+def metrics_layout(counters: dict, gauges: dict, histograms: dict) -> dict:
+    """The canonical ``OBS_METRICS.json`` layout.
 
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self.value = 0.0
-        self._lock = threading.Lock()
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease")
-        with self._lock:
-            self.value += amount
-
-
-class Gauge:
-    """A value that can go up and down."""
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self.value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value += amount
-
-
-class MetricsRegistry:
-    """Named counters/gauges/histograms for one process or one run."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, LatencyHistogram] = {}
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        with self._lock:
-            metric = self._counters.get(name)
-            if metric is None:
-                metric = self._counters[name] = Counter(name, help)
-            return metric
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        with self._lock:
-            metric = self._gauges.get(name)
-            if metric is None:
-                metric = self._gauges[name] = Gauge(name, help)
-            return metric
-
-    def histogram(self, name: str) -> LatencyHistogram:
-        with self._lock:
-            metric = self._histograms.get(name)
-            if metric is None:
-                metric = self._histograms[name] = LatencyHistogram()
-            return metric
-
-    def register_histogram(self, name: str, histogram: LatencyHistogram) -> None:
-        """Attach an externally owned histogram under ``name`` (the serve
-        telemetry snapshots its live histograms this way)."""
-        with self._lock:
-            self._histograms[name] = histogram
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-
-    def as_dict(self) -> dict:
-        return {
-            "counters": {n: c.value for n, c in sorted(self._counters.items())},
-            "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
-            "histograms": {
-                n: h.as_dict() for n, h in sorted(self._histograms.items())
-            },
-        }
-
-    def to_prometheus(self) -> str:
-        """Prometheus text-exposition dump of every metric."""
-        lines: list[str] = []
-        for name, counter in sorted(self._counters.items()):
-            if counter.help:
-                lines.append(f"# HELP {name} {counter.help}")
-            lines.append(f"# TYPE {name} counter")
-            lines.append(f"{name} {counter.value:g}")
-        for name, gauge in sorted(self._gauges.items()):
-            if gauge.help:
-                lines.append(f"# HELP {name} {gauge.help}")
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name} {gauge.value:g}")
-        for name, hist in sorted(self._histograms.items()):
-            lines.append(f"# TYPE {name} histogram")
-            cumulative = 0
-            for index, count in enumerate(hist.counts):
-                if not count:
-                    continue
-                cumulative += count
-                edge = bin_upper_edge_s(index)
-                lines.append(f'{name}_bucket{{le="{edge:.6g}"}} {cumulative}')
-            lines.append(f'{name}_bucket{{le="+Inf"}} {hist.total}')
-            lines.append(f"{name}_sum {hist.sum_s:g}")
-            lines.append(f"{name}_count {hist.total}")
-        return "\n".join(lines) + "\n"
-
-    def export_json(self, path: str | Path) -> Path:
-        """Write the canonical ``OBS_METRICS.json`` (byte-stable for a
-        deterministic run: sorted keys, fixed layout)."""
-        path = Path(path)
-        path.write_text(json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n")
-        return path
+    Counter and gauge values are written as floats; ``histograms`` maps
+    each name to a :meth:`LatencyHistogram.as_dict` export, kept as is.
+    Dumped with sorted keys, two deterministic runs agree iff their
+    files are byte-identical.
+    """
+    return {
+        "counters": {name: float(value) for name, value in counters.items()},
+        "gauges": {name: float(value) for name, value in gauges.items()},
+        "histograms": histograms,
+    }

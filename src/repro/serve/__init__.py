@@ -60,6 +60,7 @@ from repro.serve.telemetry import (
     SessionMetrics,
     Telemetry,
     export_metrics,
+    obs_metrics,
 )
 
 __all__ = [
@@ -93,6 +94,7 @@ __all__ = [
     "make_backend",
     "make_pool",
     "merge_shard_metrics",
+    "obs_metrics",
     "open_loop_arrivals",
     "plan_shards",
     "resolve_profile",

@@ -66,11 +66,6 @@ class AcceleratorInstance:
     reconfigurations: int = 0
     reconfig_seconds: float = 0.0
     reconfig_joules: float = 0.0
-    # SolverPlan cache the functional fidelity solves through. None means
-    # the process-wide default cache — the same one the software
-    # estimator uses, so serving-tier and estimator windows of the same
-    # width share plans (per worker thread; the cache is thread-keyed).
-    plan_cache: object | None = None
 
     def __post_init__(self) -> None:
         if self.fidelity not in FIDELITIES:
@@ -97,8 +92,10 @@ class AcceleratorInstance:
             from repro.hw.sim.functional import run_iteration_functional
             from repro.linalg.plan import default_plan_cache
 
-            cache = self.plan_cache or default_plan_cache()
-            plan = cache.get(
+            # The process-wide cache the software estimator uses too, so
+            # serving-tier and estimator windows of the same width share
+            # plans (per worker thread; the cache is thread-keyed).
+            plan = default_plan_cache().get(
                 len(problem.inv_depths), STATE_DIM * len(problem.states)
             )
             execution = run_iteration_functional(

@@ -37,11 +37,15 @@ from pathlib import Path
 
 from repro.engine import Engine
 from repro.errors import ConfigurationError, ServeError
-from repro.obs.metrics import LatencyHistogram, MetricsRegistry
+from repro.obs.metrics import LatencyHistogram
 from repro.obs.tracer import CLOCK_VIRTUAL, Span, Trace
 from repro.serve.loadgen import LoadProfile
 from repro.serve.service import LocalizationService, ServeReport
-from repro.serve.telemetry import METRICS_SCHEMA_VERSION, export_metrics
+from repro.serve.telemetry import (
+    METRICS_SCHEMA_VERSION,
+    export_metrics,
+    obs_metrics,
+)
 
 DEFAULT_VNODES = 64
 
@@ -215,65 +219,9 @@ class FleetReport:
     def write_chrome_trace(self, path: str | Path) -> Path:
         return self.merged_trace().export_chrome(path)
 
-    def to_registry(self) -> MetricsRegistry:
-        """Fleet-level counters/gauges/histograms as a
-        :class:`repro.obs.MetricsRegistry` (canonical OBS_METRICS.json)."""
-        merged = self.metrics
-        registry = MetricsRegistry()
-        totals = merged["totals"]
-        registry.counter(
-            "serve_windows_served_total", "windows completed"
-        ).inc(totals["windows_served"])
-        registry.counter(
-            "serve_windows_shed_total", "windows shed by admission control"
-        ).inc(totals["windows_shed"])
-        registry.counter(
-            "serve_windows_degraded_total", "windows served at reduced effort"
-        ).inc(totals["windows_degraded"])
-        registry.counter(
-            "serve_deadline_misses_total", "windows completed past deadline"
-        ).inc(totals["deadline_misses"])
-        registry.counter("serve_errors_total", "solver errors").inc(totals["errors"])
-        registry.counter(
-            "serve_reconfigurations_total", "partial-reconfiguration swaps"
-        ).inc(totals["reconfigurations"])
-        registry.counter(
-            "serve_reconfig_energy_joules_total",
-            "energy spent on partial reconfiguration",
-        ).inc(totals["reconfig_energy_j"])
-        for entry in merged["configs"]:
-            registry.counter(
-                f"serve_config_windows_served_total:{entry['config_id']}",
-                f"windows served on design point {entry['config_id']}",
-            ).inc(entry["windows_served"])
-            registry.counter(
-                f"serve_config_energy_joules_total:{entry['config_id']}",
-                f"window energy on design point {entry['config_id']}",
-            ).inc(entry["energy_j"])
-        registry.gauge("serve_num_shards", "shards in the fleet").set(
-            merged["fleet"]["num_shards"]
-        )
-        registry.gauge(
-            "serve_queue_depth_max", "peak queue depth across shards"
-        ).set(merged["queue"]["depth_max"])
-        registry.gauge(
-            "serve_queue_depth_mean", "time-weighted mean queue depth"
-        ).set(merged["queue"]["depth_time_weighted_mean"])
-        registry.gauge("serve_makespan_seconds", "virtual makespan").set(
-            totals["makespan_s"]
-        )
-        for name, key in (
-            ("serve_latency_seconds", "latency_ms"),
-            ("serve_queue_wait_seconds", "queue_wait_ms"),
-            ("serve_service_seconds", "service_ms"),
-        ):
-            registry.register_histogram(
-                name, LatencyHistogram.from_dict(merged[key])
-            )
-        return registry
-
     def write_obs_metrics(self, path: str | Path) -> Path:
-        return self.to_registry().export_json(path)
+        """Fleet-level ``OBS_METRICS.json`` (a view of :attr:`metrics`)."""
+        return export_metrics(obs_metrics(self.metrics), path)
 
     def render(self) -> str:
         totals = self.metrics["totals"]

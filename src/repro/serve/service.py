@@ -54,8 +54,10 @@ from repro.serve.scheduler import Admission, Scheduler
 from repro.serve.session import Session, SessionState, WindowRequest
 from repro.serve.telemetry import (
     METRICS_SCHEMA_VERSION,
+    SessionMetrics,
     Telemetry,
     export_metrics,
+    obs_metrics,
 )
 
 _ARRIVAL, _COMPLETE, _FREE = "arrival", "complete", "free"
@@ -70,7 +72,6 @@ class ServeReport:
     cache_line: str  # live engine stats (stdout only — disk-state dependent)
     wall_seconds: float  # stdout only — never part of the metrics file
     trace: Trace | None = None  # virtual-time spans; deterministic
-    telemetry: Telemetry | None = None
     # Wall-clock split (stdout/bench only): session build + backend
     # start vs the event loop itself. wall_seconds is their sum.
     prepare_seconds: float = 0.0
@@ -93,10 +94,8 @@ class ServeReport:
 
     def write_obs_metrics(self, path: str | Path) -> Path:
         """Export the run's counters/gauges/histograms as the canonical
-        ``OBS_METRICS.json`` via :class:`repro.obs.MetricsRegistry`."""
-        if self.telemetry is None:
-            raise ServeError("this report carries no telemetry")
-        return self.telemetry.to_registry().export_json(path)
+        ``OBS_METRICS.json`` (a view of :attr:`metrics`)."""
+        return export_metrics(obs_metrics(self.metrics), path)
 
     def render(self) -> str:
         totals = self.metrics["totals"]
@@ -390,7 +389,6 @@ class LocalizationService:
             cache_line=self.engine.stats_line(),
             wall_seconds=wall + self.prepare_seconds,
             trace=self.trace,
-            telemetry=self.telemetry,
             prepare_seconds=self.prepare_seconds,
         )
 
@@ -429,6 +427,19 @@ class LocalizationService:
         self._windows_accounted += 1
         session.controller.observe_drift(drift_m)
 
+    def _shed(
+        self, session: Session, frame_id: int, metrics: SessionMetrics, t: float
+    ) -> None:
+        """Drop one frame unserved and count it.
+
+        Sheds are estimator-mutating steps, so they route through the
+        execution backend like served windows do: under the process
+        backend the worker's session copy is the live one.
+        """
+        self._backend.shed(session.session_id, frame_id)
+        self.scheduler.record_shed()
+        self.telemetry.record_shed(metrics, t)
+
     def _pump(self, t: float) -> None:
         profile = self.profile
         headroom = self._slo_headroom()
@@ -440,15 +451,10 @@ class LocalizationService:
                 continue
             metrics = self.telemetry.session(session.session_id)
             # A robot whose backlog outgrew its bound sheds its oldest
-            # frames first (freshest data is worth the most). Sheds are
-            # estimator-mutating steps, so they route through the
-            # execution backend like served windows do: under the
-            # process backend the worker's session copy is the live one.
+            # frames first (freshest data is worth the most).
             while len(session.pending) > profile.max_pending_per_session:
                 frame_id, _ = session.take_pending()
-                self._backend.shed(session.session_id, frame_id)
-                self.scheduler.record_shed()
-                self.telemetry.record_shed(metrics, t)
+                self._shed(session, frame_id, metrics, t)
             drift = session.controller.drift_estimate
             admission = self.scheduler.admit(headroom=headroom, drift=drift)
             if self._decision_log is not None:
@@ -463,9 +469,7 @@ class LocalizationService:
                 )
             frame_id, ready_time = session.take_pending()
             if admission is Admission.SHED:
-                self._backend.shed(session.session_id, frame_id)
-                self.scheduler.record_shed()
-                self.telemetry.record_shed(metrics, t)
+                self._shed(session, frame_id, metrics, t)
                 session.maybe_drain()
                 continue
             degraded = admission is Admission.DEGRADE

@@ -17,7 +17,7 @@ from pathlib import Path
 # The log-binned histogram lives in repro.obs.metrics now — one
 # implementation for the whole stack; this re-export keeps the serve
 # tier's public name (`from repro.serve import LatencyHistogram`) alive.
-from repro.obs.metrics import LatencyHistogram, MetricsRegistry
+from repro.obs.metrics import LatencyHistogram, metrics_layout
 
 METRICS_SCHEMA_VERSION = 1
 
@@ -28,6 +28,7 @@ __all__ = [
     "SessionMetrics",
     "Telemetry",
     "export_metrics",
+    "obs_metrics",
 ]
 
 
@@ -206,58 +207,6 @@ class Telemetry:
             integral += self._last_depth * (self.end_time_s - self._last_depth_t)
         return integral / self.end_time_s
 
-    def to_registry(self) -> MetricsRegistry:
-        """Snapshot this run as a :class:`repro.obs.MetricsRegistry`.
-
-        The live histograms are registered by reference (they are final
-        once the run ends), so ``registry.export_json`` writes the
-        canonical ``OBS_METRICS.json`` without copying bins.
-        """
-        registry = MetricsRegistry()
-        registry.counter(
-            "serve_windows_served_total", "windows completed"
-        ).inc(self.windows_served)
-        registry.counter(
-            "serve_windows_shed_total", "windows shed by admission control"
-        ).inc(self.windows_shed)
-        registry.counter(
-            "serve_windows_degraded_total", "windows served at reduced effort"
-        ).inc(self.windows_degraded)
-        registry.counter(
-            "serve_deadline_misses_total", "windows completed past deadline"
-        ).inc(self.deadline_misses)
-        registry.counter("serve_errors_total", "solver errors").inc(self.errors)
-        registry.gauge(
-            "serve_queue_depth_max", "peak queue depth"
-        ).set(self.queue_depth_max)
-        registry.gauge(
-            "serve_queue_depth_mean", "time-weighted mean queue depth"
-        ).set(self.queue_depth_mean())
-        registry.gauge("serve_makespan_seconds", "virtual makespan").set(
-            self.end_time_s
-        )
-        registry.counter(
-            "serve_reconfigurations_total", "partial-reconfiguration swaps"
-        ).inc(self.reconfigurations)
-        registry.counter(
-            "serve_reconfig_energy_joules_total",
-            "energy spent on partial reconfiguration",
-        ).inc(self.reconfig_energy_j)
-        for config_id in sorted(self.configs):
-            config = self.configs[config_id]
-            registry.counter(
-                f"serve_config_windows_served_total:{config_id}",
-                f"windows served on design point {config_id}",
-            ).inc(config.windows_served)
-            registry.counter(
-                f"serve_config_energy_joules_total:{config_id}",
-                f"window energy on design point {config_id}",
-            ).inc(config.energy_j)
-        registry.register_histogram("serve_latency_seconds", self.latency)
-        registry.register_histogram("serve_queue_wait_seconds", self.queue_wait)
-        registry.register_histogram("serve_service_seconds", self.service)
-        return registry
-
     def as_dict(self) -> dict:
         total_windows = self.windows_served + self.windows_shed
         batches = sum(self.batch_occupancy.values())
@@ -302,6 +251,50 @@ class Telemetry:
                 self.configs[cid].as_dict() for cid in sorted(self.configs)
             ],
         }
+
+
+# OBS_METRICS.json counter name -> SERVE_METRICS.json ``totals`` key.
+_TOTALS_COUNTERS = (
+    ("serve_windows_served_total", "windows_served"),
+    ("serve_windows_shed_total", "windows_shed"),
+    ("serve_windows_degraded_total", "windows_degraded"),
+    ("serve_deadline_misses_total", "deadline_misses"),
+    ("serve_errors_total", "errors"),
+    ("serve_reconfigurations_total", "reconfigurations"),
+    ("serve_reconfig_energy_joules_total", "reconfig_energy_j"),
+)
+
+
+def obs_metrics(metrics: dict) -> dict:
+    """``OBS_METRICS.json`` for one serve run or a merged fleet.
+
+    A view of the ``SERVE_METRICS.json`` dict ``metrics`` (a shard's or
+    :func:`repro.serve.fleet.merge_shard_metrics`'s): every counter,
+    gauge and histogram equals the field it names there, so the two
+    files cannot disagree.
+    """
+    totals = metrics["totals"]
+    counters = {name: totals[key] for name, key in _TOTALS_COUNTERS}
+    for config in metrics["configs"]:
+        config_id = config["config_id"]
+        counters[f"serve_config_windows_served_total:{config_id}"] = config["windows_served"]
+        counters[f"serve_config_energy_joules_total:{config_id}"] = config["energy_j"]
+    gauges = {
+        "serve_queue_depth_max": metrics["queue"]["depth_max"],
+        "serve_queue_depth_mean": metrics["queue"]["depth_time_weighted_mean"],
+        "serve_makespan_seconds": totals["makespan_s"],
+    }
+    if "fleet" in metrics:
+        gauges["serve_num_shards"] = metrics["fleet"]["num_shards"]
+    return metrics_layout(
+        counters,
+        gauges,
+        histograms={
+            "serve_latency_seconds": metrics["latency_ms"],
+            "serve_queue_wait_seconds": metrics["queue_wait_ms"],
+            "serve_service_seconds": metrics["service_ms"],
+        },
+    )
 
 
 def export_metrics(metrics: dict, path: str | Path) -> Path:

@@ -12,21 +12,18 @@ scenario and configuration axes and emits the per-cell
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.engine.engine import Engine
 from repro.errors import ConfigurationError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import LatencyHistogram, metrics_layout
 from repro.obs.validate import SCENARIO_SCHEMA_PREFIX
 from repro.scenarios import available_scenarios, resolve_scenario
-from repro.testing.oracles import (
-    DESIGN_POINTS,
-    ORACLES,
-    ConformanceWorkload,
-    OracleReport,
-)
+from repro.testing.conformance import run_conformance
+from repro.testing.oracles import DESIGN_POINTS, ConformanceWorkload, OracleReport
 
 SCENARIO_MATRIX_SCHEMA = SCENARIO_SCHEMA_PREFIX + "v1"
 
@@ -94,30 +91,6 @@ class ScenarioMatrixRun:
     def total_checks(self) -> int:
         return sum(report.checks for _, report in self.cells)
 
-    def to_registry(self) -> MetricsRegistry:
-        """The run's aggregate counters/gauges/histograms for the
-        ``obs`` section of ``SCENARIOS.json``."""
-        registry = MetricsRegistry()
-        registry.counter(
-            "scenario_matrix_cells_total", "cells in the matrix"
-        ).inc(len(self.cells))
-        registry.counter(
-            "scenario_matrix_cells_failed_total", "cells with any mismatch"
-        ).inc(sum(0 if report.passed else 1 for _, report in self.cells))
-        registry.counter(
-            "scenario_matrix_checks_total", "individual conformance checks"
-        ).inc(self.total_checks)
-        registry.counter(
-            "scenario_matrix_mismatches_total", "violated checks"
-        ).inc(self.num_mismatches)
-        registry.gauge(
-            "scenario_matrix_passed", "1 iff every cell passed"
-        ).set(1.0 if self.passed else 0.0)
-        seconds = registry.histogram("scenario_matrix_cell_seconds")
-        for _, report in self.cells:
-            seconds.record(report.seconds)
-        return registry
-
     def to_dict(self) -> dict:
         return {
             "schema": SCENARIO_MATRIX_SCHEMA,
@@ -143,8 +116,27 @@ class ScenarioMatrixRun:
                 }
                 for workload, report in self.cells
             ],
-            "obs": self.to_registry().as_dict(),
+            "obs": self._obs(),
         }
+
+    def _obs(self) -> dict:
+        """The run's aggregate counters/gauges/histograms for the
+        ``obs`` section of ``SCENARIOS.json``."""
+        seconds = LatencyHistogram()
+        for _, report in self.cells:
+            seconds.record(report.seconds)
+        return metrics_layout(
+            counters={
+                "scenario_matrix_cells_total": len(self.cells),
+                "scenario_matrix_cells_failed_total": sum(
+                    0 if report.passed else 1 for _, report in self.cells
+                ),
+                "scenario_matrix_checks_total": self.total_checks,
+                "scenario_matrix_mismatches_total": self.num_mismatches,
+            },
+            gauges={"scenario_matrix_passed": 1.0 if self.passed else 0.0},
+            histograms={"scenario_matrix_cell_seconds": seconds.as_dict()},
+        )
 
     def write_json(self, path: str | Path) -> Path:
         path = Path(path)
@@ -191,21 +183,10 @@ def run_scenario_matrix(
 ) -> ScenarioMatrixRun:
     """Run every oracle across every scenario x design-point cell.
 
-    Mirrors :func:`repro.testing.conformance.run_conformance` (same
-    engine-parallel execution, same ``--perturb`` self-test contract)
-    with the workload axis replaced by the scenario x config grid.
+    :func:`repro.testing.conformance.run_conformance` (same oracle and
+    ``--perturb`` validation, same engine-parallel execution) over the
+    :func:`matrix_workloads` grid, each report paired with its workload.
     """
-    names = tuple(oracle_names) if oracle_names else tuple(ORACLES)
-    unknown = [name for name in names if name not in ORACLES]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown oracle(s) {unknown}; choose from {sorted(ORACLES)}"
-        )
-    if perturb is not None and perturb != "all" and perturb not in ORACLES:
-        raise ConfigurationError(
-            f"unknown --perturb target {perturb!r}; choose from "
-            f"{sorted(ORACLES) + ['all']}"
-        )
     chosen = tuple(scenarios) if scenarios else DEFAULT_MATRIX_SCENARIOS
     unknown_scenarios = [s for s in chosen if s not in available_scenarios()]
     if unknown_scenarios:
@@ -213,20 +194,18 @@ def run_scenario_matrix(
             f"unknown scenario(s) {unknown_scenarios}; choose from "
             f"{available_scenarios()}"
         )
-    if engine is None:
-        engine = Engine(cache_dir=None, use_disk=False, jobs=jobs)
-
     workloads = matrix_workloads(chosen, quick=quick)
-    grid = [(name, workload) for name in names for workload in workloads]
-
-    def run_cell(
-        cell: tuple[str, ConformanceWorkload],
-    ) -> tuple[ConformanceWorkload, OracleReport]:
-        name, workload = cell
-        skew = perturbation if perturb in (name, "all") else 0.0
-        return workload, ORACLES[name](workload, perturbation=skew)
-
-    cells = engine.parallel(run_cell, grid)
+    run = run_conformance(
+        workloads,
+        oracle_names=oracle_names,
+        jobs=jobs,
+        perturb=perturb,
+        perturbation=perturbation,
+        engine=engine,
+    )
+    # run_conformance walks its grid oracle first, then workload.
     return ScenarioMatrixRun(
-        cells=list(cells), jobs=engine.jobs, perturbed=perturb
+        cells=list(zip(itertools.cycle(workloads), run.reports)),
+        jobs=run.jobs,
+        perturbed=perturb,
     )

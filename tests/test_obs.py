@@ -9,7 +9,6 @@ import pytest
 from repro.obs import (
     CLOCK_VIRTUAL,
     LatencyHistogram,
-    MetricsRegistry,
     Span,
     Trace,
     global_trace,
@@ -19,8 +18,9 @@ from repro.obs import (
     spans_by,
     validate_chrome_trace,
 )
-from repro.obs.metrics import BIN_FLOOR_S, bin_upper_edge_s
+from repro.obs.metrics import BIN_FLOOR_S, bin_upper_edge_s, metrics_layout
 from repro.runtime.profiler import StageTimings
+from repro.serve.telemetry import export_metrics
 
 
 class TestSpan:
@@ -204,57 +204,17 @@ class TestHistogramEdges:
 
 
 class TestMetricsRegistry:
-    def test_counters_and_gauges(self):
-        registry = MetricsRegistry()
-        registry.counter("requests_total").inc()
-        registry.counter("requests_total").inc(2)
-        registry.gauge("depth").set(7)
-        snapshot = registry.as_dict()
-        assert snapshot["counters"]["requests_total"] == 3.0
-        assert snapshot["gauges"]["depth"] == 7.0
-        with pytest.raises(ValueError):
-            registry.counter("requests_total").inc(-1)
-
-    def test_histogram_get_or_create_and_register(self):
-        registry = MetricsRegistry()
-        assert registry.histogram("h") is registry.histogram("h")
-        external = LatencyHistogram()
-        external.record(0.002)
-        registry.register_histogram("ext", external)
-        assert registry.as_dict()["histograms"]["ext"]["count"] == 1
-
-    def test_prometheus_dump(self):
-        registry = MetricsRegistry()
-        registry.counter("served_total", "windows served").inc(5)
-        registry.gauge("depth").set(2)
-        registry.histogram("latency_seconds").record(0.003)
-        text = registry.to_prometheus()
-        assert "# TYPE served_total counter" in text
-        assert "# HELP served_total windows served" in text
-        assert "served_total 5" in text
-        assert "# TYPE depth gauge" in text
-        assert 'latency_seconds_bucket{le="+Inf"} 1' in text
-        assert "latency_seconds_count 1" in text
+    """The ``OBS_METRICS.json`` layout and its export."""
 
     def test_export_json_is_canonical(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("b").inc()
-        registry.counter("a").inc()
-        path = registry.export_json(tmp_path / "OBS_METRICS.json")
+        layout = metrics_layout(
+            counters={"b": 1, "a": 2}, gauges={"depth": 7}, histograms={}
+        )
+        path = export_metrics(layout, tmp_path / "OBS_METRICS.json")
         text = path.read_text()
         assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
-
-    def test_thread_safe_counting(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("n")
-
-        def bump(_):
-            for _ in range(1000):
-                counter.inc()
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            list(pool.map(bump, range(4)))
-        assert counter.value == 4000
+        # Values are written as floats: an integer count reads "2.0".
+        assert '"a": 2.0' in text and '"depth": 7.0' in text
 
 
 class TestStageTimingsView:

@@ -50,6 +50,39 @@ def mini_profile(**overrides):
     return LoadProfile(**base)
 
 
+def assert_obs_matches_metrics(obs: dict, metrics: dict) -> None:
+    """Every ``OBS_METRICS.json`` counter, gauge and histogram equals the
+    ``SERVE_METRICS.json`` field it names, and nothing else is exported."""
+    totals = metrics["totals"]
+    counters = {
+        "serve_windows_served_total": totals["windows_served"],
+        "serve_windows_shed_total": totals["windows_shed"],
+        "serve_windows_degraded_total": totals["windows_degraded"],
+        "serve_deadline_misses_total": totals["deadline_misses"],
+        "serve_errors_total": totals["errors"],
+        "serve_reconfigurations_total": totals["reconfigurations"],
+        "serve_reconfig_energy_joules_total": totals["reconfig_energy_j"],
+    }
+    for config in metrics["configs"]:
+        config_id = config["config_id"]
+        counters[f"serve_config_windows_served_total:{config_id}"] = config["windows_served"]
+        counters[f"serve_config_energy_joules_total:{config_id}"] = config["energy_j"]
+    gauges = {
+        "serve_queue_depth_max": metrics["queue"]["depth_max"],
+        "serve_queue_depth_mean": metrics["queue"]["depth_time_weighted_mean"],
+        "serve_makespan_seconds": totals["makespan_s"],
+    }
+    if "fleet" in metrics:
+        gauges["serve_num_shards"] = metrics["fleet"]["num_shards"]
+    assert obs["counters"] == counters
+    assert obs["gauges"] == gauges
+    assert obs["histograms"] == {
+        "serve_latency_seconds": metrics["latency_ms"],
+        "serve_queue_wait_seconds": metrics["queue_wait_ms"],
+        "serve_service_seconds": metrics["service_ms"],
+    }
+
+
 def run_mini(profile, fidelity="analytical"):
     service = LocalizationService(
         profile, engine=Engine(use_disk=False), fidelity=fidelity
@@ -313,15 +346,4 @@ class TestServeTraces:
     def test_obs_metrics_export_matches_telemetry(self, tmp_path):
         report = self._run()
         path = report.write_obs_metrics(tmp_path / "OBS_METRICS.json")
-        data = json.loads(path.read_text())
-        totals = report.metrics["totals"]
-        assert data["counters"]["serve_windows_served_total"] == totals[
-            "windows_served"
-        ]
-        assert (
-            data["histograms"]["serve_latency_seconds"]["count"]
-            == totals["windows_served"]
-        )
-        assert data["gauges"]["serve_queue_depth_max"] == report.metrics[
-            "queue"
-        ]["depth_max"]
+        assert_obs_matches_metrics(json.loads(path.read_text()), report.metrics)

@@ -18,6 +18,7 @@ import json
 import multiprocessing
 import pickle
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -34,11 +35,13 @@ from repro.serve import (
     WindowRequest,
     merge_shard_metrics,
     plan_shards,
+    resolve_profile,
     run_fleet,
     shard_service,
 )
 from repro.serve.backend import ProcessBackend
 from repro.serve.service import LocalizationService
+from tests.test_serve import assert_obs_matches_metrics
 
 
 def fleet_profile(**overrides):
@@ -220,14 +223,17 @@ class TestFleetRuns:
         path = report.write_obs_metrics(tmp_path / "OBS_METRICS.json")
         data = json.loads(path.read_text())
         assert data["gauges"]["serve_num_shards"] == 2.0
-        assert (
-            data["counters"]["serve_windows_served_total"]
-            == report.metrics["totals"]["windows_served"]
+        assert_obs_matches_metrics(data, report.metrics)
+
+    def test_obs_export_matches_closed_loop_fleet(self, tmp_path):
+        # Merged closed-loop histogram means are where a histogram rebuilt
+        # from its mean_ms drifts in the last digits.
+        profile = replace(
+            resolve_profile("closed-loop"), num_sessions=4, duration_s=3.0
         )
-        assert (
-            data["histograms"]["serve_latency_seconds"]["count"]
-            == report.metrics["latency_ms"]["count"]
-        )
+        report = run_fleet(profile, 2)
+        path = report.write_obs_metrics(tmp_path / "OBS_METRICS.json")
+        assert_obs_matches_metrics(json.loads(path.read_text()), report.metrics)
 
 
 class TestBackends:
