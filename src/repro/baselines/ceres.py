@@ -14,7 +14,14 @@ import numpy as np
 
 from repro.errors import SolverError
 from repro.linalg.cholesky import cholesky_evaluate_update, solve_cholesky
-from repro.slam.nls import LMConfig, LMResult
+from repro.slam.nls import (
+    COST_TOLERANCE,
+    DAMPING_DOWN,
+    DAMPING_UP,
+    INITIAL_DAMPING,
+    LMConfig,
+    LMResult,
+)
 from repro.slam.problem import WindowProblem
 
 
@@ -30,7 +37,7 @@ def _dense_solve(system, damping: float) -> tuple[np.ndarray, np.ndarray]:
 def dense_lm_solve(problem: WindowProblem, config: LMConfig | None = None) -> LMResult:
     """Levenberg-Marquardt with a dense linear solver (ceres-style)."""
     config = config or LMConfig()
-    damping = config.initial_damping
+    damping = INITIAL_DAMPING
     cost = problem.cost()
     result = LMResult(
         problem=problem,
@@ -46,7 +53,7 @@ def dense_lm_solve(problem: WindowProblem, config: LMConfig | None = None) -> LM
         try:
             d_lambda, d_state = _dense_solve(system, damping)
         except SolverError:
-            damping *= config.damping_up
+            damping *= DAMPING_UP
             result.cost_history.append(cost)
             continue
         candidate = problem.stepped(d_lambda, d_state, system)
@@ -54,14 +61,14 @@ def dense_lm_solve(problem: WindowProblem, config: LMConfig | None = None) -> LM
         if np.isfinite(candidate_cost) and candidate_cost < cost:
             problem = candidate
             cost = candidate_cost
-            damping = max(damping * config.damping_down, 1e-12)
+            damping = max(damping * DAMPING_DOWN, 1e-12)
             result.accepted_steps += 1
             result.cost_history.append(cost)
-            if (result.cost_history[-2] - cost) / max(cost, 1e-12) < config.cost_tolerance:
+            if (result.cost_history[-2] - cost) / max(cost, 1e-12) < COST_TOLERANCE:
                 result.converged = True
                 break
         else:
-            damping *= config.damping_up
+            damping *= DAMPING_UP
             result.cost_history.append(cost)
             if damping > 1e12:
                 break

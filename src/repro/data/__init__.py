@@ -10,7 +10,6 @@ structure (sliding-window workload statistics and residual/Jacobian
 shapes), which is what makes the substitution faithful; see DESIGN.md.
 """
 
-from repro.data.window import Keyframe, FeatureTrack, SlidingWindow
 from repro.data.stats import WindowStats, sequence_stats
 from repro.data.trajectory import DroneTrajectory, CarTrajectory
 from repro.data.io import save_sequence, load_sequence
@@ -25,9 +24,6 @@ from repro.data.sequences import (
 )
 
 __all__ = [
-    "Keyframe",
-    "FeatureTrack",
-    "SlidingWindow",
     "WindowStats",
     "sequence_stats",
     "DroneTrajectory",

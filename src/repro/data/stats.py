@@ -1,12 +1,13 @@
-"""Workload statistics extracted from sliding windows.
+"""Per-window workload statistics.
 
 The hardware latency models (Equ. 6, 9, 10, 13–15) are parameterized by
 the per-window workload: number of feature points ``a``, average
 observations per feature ``No``, keyframe count ``b``, features about to
 be marginalized ``am``, and the per-keyframe state size ``k`` (fixed at
-15). This module is the single place those numbers are computed, so the
-analytical models, the cycle simulator, and the CPU baselines all agree
-on the work being measured.
+15). :class:`WindowStats` is the record the analytical models, the cycle
+simulator, and the CPU baselines all read, so they agree on the work
+being measured. The estimator fills one per window, counting as ``am``
+the features anchored at the oldest keyframe.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.window import SlidingWindow
 from repro.geometry.navstate import STATE_DIM
 
 
@@ -53,33 +53,6 @@ class WindowStats:
     @property
     def k(self) -> int:
         return self.state_size
-
-
-def window_stats(window: SlidingWindow, num_marginalized: int | None = None) -> WindowStats:
-    """Compute the workload statistics of one sliding window.
-
-    Args:
-        window: the window to measure.
-        num_marginalized: features that will leave the window when it
-            slides; if omitted, counts features observed only by the
-            oldest keyframe (the marginalization rule of the estimator).
-    """
-    num_obs = window.num_observations
-    num_feats = window.num_features
-    avg_obs = num_obs / num_feats if num_feats else 0.0
-    if num_marginalized is None:
-        if window.keyframes:
-            oldest = window.keyframes[0].frame_id
-            num_marginalized = len(window.features_seen_only_by(oldest))
-        else:
-            num_marginalized = 0
-    return WindowStats(
-        num_features=num_feats,
-        avg_observations=avg_obs,
-        num_keyframes=window.num_keyframes,
-        num_marginalized=num_marginalized,
-        num_observations=num_obs,
-    )
 
 
 def sequence_stats(per_window: list[WindowStats]) -> dict[str, float]:

@@ -19,8 +19,8 @@ from repro.hw.config import HardwareConfig
 from repro.hw.fpga import FpgaPlatform
 from repro.hw.sim.trace import TraceSimulation
 from repro.runtime.controller import ReplayResult, WindowDecision
-from repro.runtime.profiler import StageTimings
 from repro.slam.estimator import RunResult, WindowResult
+from repro.slam.nls import StageTimings
 from repro.synth.spec import DesignSpec, Objective
 from repro.synth.synthesizer import SynthesisResult
 

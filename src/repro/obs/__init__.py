@@ -1,11 +1,11 @@
 """``repro.obs`` — the unified, dependency-free observability layer.
 
-One tracer shared by every layer of the stack, one histogram and one
+One tracer for the engine and the serving tier, one histogram and one
 metrics-file layout:
 
-* :mod:`repro.obs.tracer` — nestable :class:`Span` contexts recorded
-  into a thread-safe per-run :class:`Trace` (wall or virtual clock),
-  exported as Chrome ``trace_event`` JSON or flat JSONL;
+* :mod:`repro.obs.tracer` — :class:`Span` records appended to a
+  thread-safe per-run :class:`Trace` (wall or virtual clock), exported
+  as Chrome ``trace_event`` JSON or flat JSONL;
 * :mod:`repro.obs.metrics` — the log-binned :class:`LatencyHistogram`
   (the single histogram implementation; the serve tier re-exports it)
   and :func:`~repro.obs.metrics.metrics_layout`, the counters/gauges/
@@ -24,8 +24,6 @@ from repro.obs.tracer import (
     CLOCK_WALL,
     Span,
     Trace,
-    global_trace,
-    reset_global_trace,
     spans_by,
     validate_chrome_trace,
 )
@@ -37,9 +35,7 @@ __all__ = [
     "RollupRow",
     "Span",
     "Trace",
-    "global_trace",
     "render_rollup",
-    "reset_global_trace",
     "rollup",
     "spans_by",
     "validate_chrome_trace",

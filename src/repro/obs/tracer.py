@@ -1,16 +1,15 @@
-"""Structured tracing: nestable spans over a wall or virtual clock.
+"""Structured tracing: spans over a wall or virtual clock.
 
 A :class:`Span` is one named, categorized interval with attributes; a
-:class:`Trace` is the thread-safe per-run recording all layers append
-to. Two clock disciplines coexist:
+:class:`Trace` is the thread-safe per-run recording the engine and the
+serving tier append to, each span through :meth:`Trace.add_span` with
+explicit times. Two clock disciplines coexist:
 
-* ``clock="wall"`` — spans measured with ``time.perf_counter`` through
-  the :meth:`Trace.span` context manager (or recorded post hoc with
-  :meth:`Trace.add_measured`). This is what the engine, the NLS solver
-  and the synthesizer use.
-* ``clock="virtual"`` — spans stamped with explicit simulated times via
-  :meth:`Trace.add_span`. The serving tier records its queue-wait /
-  batch / service spans this way, so a seeded run exports a
+* ``clock="wall"`` — ``time.perf_counter`` times. The engine records
+  each artifact fetch this way; spans land on one track per recording
+  thread.
+* ``clock="virtual"`` — simulated times. The serving tier records its
+  queue-wait / batch / service spans this way, so a seeded run exports a
   byte-identical trace no matter how many worker threads carried the
   numerics.
 
@@ -24,11 +23,9 @@ from __future__ import annotations
 
 import json
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from time import perf_counter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 CLOCK_WALL = "wall"
 CLOCK_VIRTUAL = "virtual"
@@ -43,9 +40,8 @@ class Span:
     """One recorded interval.
 
     Attributes:
-        name: what ran (e.g. ``"solve"``, ``"service"``).
-        category: which layer recorded it (``"nls"``, ``"engine"``,
-            ``"serve"``, ``"synth"``).
+        name: what ran (e.g. ``"sequence"``, ``"service"``).
+        category: which layer recorded it (``"engine"``, ``"serve"``).
         start_s: start time in the trace's clock (seconds).
         duration_s: extent in seconds.
         depth: nesting level (0 = top level).
@@ -99,21 +95,11 @@ class Trace:
         self.name = name
         self.spans: list[Span] = []
         self._lock = threading.Lock()
-        self._local = threading.local()
         self._tracks: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-
-    def _now(self) -> float:
-        return perf_counter() if self.clock == CLOCK_WALL else 0.0
-
-    def _stack(self) -> list[str]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
 
     def _track_id(self) -> int:
         if self.clock == CLOCK_VIRTUAL:
@@ -124,39 +110,6 @@ class Trace:
             track = self._tracks[ident] = len(self._tracks)
         return track
 
-    def _append(self, span: Span) -> None:
-        with self._lock:
-            span.track = self._track_id()
-            self.spans.append(span)
-
-    @contextmanager
-    def span(
-        self, name: str, category: str = "default", **attributes
-    ) -> Iterator[Span]:
-        """Measure a wall-clock span around a block; yields the live
-        :class:`Span` so callers can read ``duration_s`` afterwards or
-        attach late attributes."""
-        if self.clock != CLOCK_WALL:
-            raise ValueError(
-                "span() measures wall time; use add_span() with explicit "
-                f"times on a {self.clock!r}-clock trace"
-            )
-        stack = self._stack()
-        record = Span(
-            name=name,
-            category=category,
-            depth=len(stack),
-            attributes=dict(attributes),
-        )
-        stack.append(name)
-        record.start_s = perf_counter()
-        try:
-            yield record
-        finally:
-            record.duration_s = perf_counter() - record.start_s
-            stack.pop()
-            self._append(record)
-
     def add_span(
         self,
         name: str,
@@ -166,7 +119,7 @@ class Trace:
         depth: int = 0,
         **attributes,
     ) -> Span:
-        """Record a span with explicit times (the virtual-clock path)."""
+        """Record a span with explicit times in the trace's clock."""
         record = Span(
             name=name,
             category=category,
@@ -175,55 +128,10 @@ class Trace:
             depth=depth,
             attributes=dict(attributes),
         )
-        self._append(record)
-        return record
-
-    def add_measured(
-        self, name: str, category: str = "default", duration_s: float = 0.0, **attributes
-    ) -> Span:
-        """Record a span whose duration was measured elsewhere (e.g. the
-        linearize/assemble split the linear-system build reports)."""
-        start = self._now() - duration_s if self.clock == CLOCK_WALL else 0.0
-        return self.add_span(
-            name, category, start_s=start, duration_s=duration_s, **attributes
-        )
-
-    def absorb(
-        self,
-        child: "Trace",
-        name: str,
-        category: str = "default",
-        attributes: dict | None = None,
-    ) -> Span:
-        """Fold another trace in under one parent span, atomically.
-
-        The child's spans are appended (depth shifted under the parent)
-        in a single locked section, so per-window traces built privately
-        on worker threads merge into a shared run trace without
-        interleaving.
-        """
-        spans = list(child.spans)
-        if spans:
-            start = min(s.start_s for s in spans)
-            end = max(s.end_s for s in spans)
-        else:
-            start = end = self._now()
-        parent = Span(
-            name=name,
-            category=category,
-            start_s=start,
-            duration_s=end - start,
-            attributes=dict(attributes or {}),
-        )
         with self._lock:
-            track = self._track_id()
-            parent.track = track
-            self.spans.append(parent)
-            for span in spans:
-                span.depth += 1
-                span.track = track
-                self.spans.append(span)
-        return parent
+            record.track = self._track_id()
+            self.spans.append(record)
+        return record
 
     # ------------------------------------------------------------------
     # Introspection
@@ -326,36 +234,6 @@ def validate_chrome_trace(data: object) -> list[str]:
         if args is not None and not isinstance(args, dict):
             problems.append(f"event {i}: 'args' must be an object")
     return problems
-
-
-# ----------------------------------------------------------------------
-# The process-wide default trace
-# ----------------------------------------------------------------------
-
-_global_trace: Trace | None = None
-_global_lock = threading.Lock()
-
-
-def global_trace() -> Trace:
-    """The process-local default trace.
-
-    Library code with no caller-supplied trace (the synthesizer's solve
-    spans, the DSE timing loop) records here, so one process's work can
-    always be rolled up after the fact.
-    """
-    global _global_trace
-    with _global_lock:
-        if _global_trace is None:
-            _global_trace = Trace(clock=CLOCK_WALL, name="global")
-        return _global_trace
-
-
-def reset_global_trace() -> Trace:
-    """Swap in a fresh global trace (tests, long-lived processes)."""
-    global _global_trace
-    with _global_lock:
-        _global_trace = Trace(clock=CLOCK_WALL, name="global")
-        return _global_trace
 
 
 def spans_by(spans: Iterable[Span], category: str) -> list[Span]:

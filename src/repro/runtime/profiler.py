@@ -1,5 +1,4 @@
-"""Offline profiling: the feature-count -> Iter lookup table (Sec. 6.2),
-plus the per-stage wall-clock breakdown of the software estimator.
+"""Offline profiling: the feature-count -> Iter lookup table (Sec. 6.2).
 
 The paper's mechanism: profile datasets of interest offline, measure how
 many NLS iterations each feature-count regime needs to sustain the
@@ -7,13 +6,6 @@ target accuracy, and memoize the mapping. Fewer tracked features mean
 less information per window, so more iterations are required to hold
 accuracy (Figs. 11-12); the table is therefore monotone non-increasing
 in the feature count, capped at 6.
-
-:class:`StageTimings` mirrors the accelerator's pipeline phases on the
-software side: linearize (VJac/IJac evaluation), assemble ("Logics to
-Prepare A, b"), solve (D-type Schur + Cholesky + substitutions) and
-update (retract + cost re-evaluation). The NLS solver fills one instance
-per window; :class:`~repro.slam.estimator.RunResult` aggregates them so
-backend speedups are measurable end to end.
 """
 
 from __future__ import annotations
@@ -23,87 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.slam.estimator import EstimatorConfig, SlidingWindowEstimator
+from repro.slam.nls import LMConfig, levenberg_marquardt
+from repro.slam.problem import MAX_INV_DEPTH, MIN_INV_DEPTH, WindowProblem
 
 MAX_ITERATIONS = 6  # the paper's cap: >6 iterations buys ~no accuracy
-
-
-@dataclass
-class StageTimings:
-    """Wall-clock seconds spent in each estimator pipeline stage.
-
-    Since the unified observability layer (``repro.obs``), this is a
-    thin *view* over the spans the NLS solver records — the solver no
-    longer does bespoke stage arithmetic; :meth:`from_trace` sums the
-    per-stage spans back into this shape so ``RunResult.timing_summary``
-    and the engine codecs keep their exact contract.
-
-    Attributes:
-        linearize_s: residual/Jacobian evaluation (VJac + IJac work).
-        assemble_s: scatter-accumulation of the arrow system blocks.
-        solve_s: Schur elimination, Cholesky and back-substitution.
-        update_s: state retraction and cost (re-)evaluation.
-        schur_s / chol_s / backsub_s: the SolverPlan's phase split of
-            ``solve_s`` — *child* measurements already contained in
-            ``solve_s``, so they are excluded from :attr:`total_s`.
-    """
-
-    linearize_s: float = 0.0
-    assemble_s: float = 0.0
-    solve_s: float = 0.0
-    update_s: float = 0.0
-    schur_s: float = 0.0
-    chol_s: float = 0.0
-    backsub_s: float = 0.0
-
-    STAGES = ("linearize", "assemble", "solve", "update")
-    # Sub-phases of the solve stage (SolverPlan split): summed into their
-    # own fields, never into total_s — solve_s already contains them.
-    SOLVE_SUBSTAGES = ("schur", "chol", "backsub")
-
-    @classmethod
-    def from_spans(cls, spans) -> "StageTimings":
-        """Sum stage-named spans (``linearize``/``assemble``/``solve``/
-        ``update``, plus the ``schur``/``chol``/``backsub`` solve
-        sub-phases) into the aggregate view. Spans with other names are
-        ignored, so a trace holding parent ``window`` spans folds down
-        without double counting."""
-        timings = cls()
-        for span in spans:
-            if span.name in cls.STAGES or span.name in cls.SOLVE_SUBSTAGES:
-                attr = f"{span.name}_s"
-                setattr(timings, attr, getattr(timings, attr) + span.duration_s)
-        return timings
-
-    @classmethod
-    def from_trace(cls, trace) -> "StageTimings":
-        """The :meth:`from_spans` view over a whole ``repro.obs`` trace."""
-        return cls.from_spans(trace.spans)
-
-    @property
-    def total_s(self) -> float:
-        return self.linearize_s + self.assemble_s + self.solve_s + self.update_s
-
-    def accumulate(self, other: "StageTimings") -> None:
-        """Fold another breakdown into this one (in place)."""
-        self.linearize_s += other.linearize_s
-        self.assemble_s += other.assemble_s
-        self.solve_s += other.solve_s
-        self.update_s += other.update_s
-        self.schur_s += other.schur_s
-        self.chol_s += other.chol_s
-        self.backsub_s += other.backsub_s
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "linearize_s": self.linearize_s,
-            "assemble_s": self.assemble_s,
-            "solve_s": self.solve_s,
-            "update_s": self.update_s,
-            "schur_s": self.schur_s,
-            "chol_s": self.chol_s,
-            "backsub_s": self.backsub_s,
-            "total_s": self.total_s,
-        }
 
 
 @dataclass(frozen=True)
@@ -152,8 +68,6 @@ def perturb_window_problem(problem, rng: np.random.Generator, scale: float = 1.0
     error grows along the window like dead-reckoning drift, and inverse
     depths get triangulation-grade lognormal noise.
     """
-    from repro.slam.problem import MAX_INV_DEPTH, MIN_INV_DEPTH, WindowProblem
-
     states = dict(problem.states)
     for j, fid in enumerate(sorted(states)):
         if j < 1:
@@ -207,9 +121,6 @@ def profile_accuracy_vs_iterations(
     the warm-started linearization point the live estimator actually
     sees, which is what a serving-time policy must price.
     """
-    from repro.slam.estimator import EstimatorConfig, SlidingWindowEstimator
-    from repro.slam.nls import LMConfig, levenberg_marquardt
-
     probes = []
 
     def probe(problem, frame_id):

@@ -28,7 +28,6 @@ from repro.serve.backend import (
     make_backend,
 )
 from repro.serve.fleet import (
-    FleetCoordinator,
     FleetReport,
     HashRing,
     ShardSpec,
@@ -69,7 +68,6 @@ __all__ = [
     "BACKENDS",
     "ConfigMetrics",
     "FIDELITIES",
-    "FleetCoordinator",
     "FleetReport",
     "HashRing",
     "LatencyHistogram",

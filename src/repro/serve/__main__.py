@@ -19,7 +19,7 @@ from repro.engine import DEFAULT_CACHE_DIR, Engine, configure
 from repro.errors import ConfigurationError, ServeError
 from repro.serve.accelerator import FIDELITIES
 from repro.serve.backend import BACKENDS
-from repro.serve.fleet import FleetCoordinator
+from repro.serve.fleet import run_fleet
 from repro.serve.loadgen import available_profiles, resolve_profile
 from repro.serve.service import LocalizationService
 
@@ -206,7 +206,7 @@ def main(argv: list[str]) -> int:
         else:
             # Shards must share nothing: each gets its own engine (same
             # disk cache is fine — artifacts are content-addressed).
-            coordinator = FleetCoordinator(
+            report = run_fleet(
                 profile,
                 args.shards,
                 backend=args.backend,
@@ -217,7 +217,6 @@ def main(argv: list[str]) -> int:
                     cache_dir=args.cache_dir, use_disk=use_disk, jobs=args.jobs
                 ),
             )
-            report = coordinator.run()
     except (ConfigurationError, ServeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

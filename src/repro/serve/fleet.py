@@ -1,4 +1,4 @@
-"""Sharded serving: shared-nothing shards behind a fleet coordinator.
+"""Sharded serving: shared-nothing shards run side by side.
 
 One :class:`~repro.serve.service.LocalizationService` is a single EDF
 queue over one session set — a *shard*. This module scales the tier out
@@ -12,8 +12,8 @@ arrival streams, engine memo, and plan caches:
   shard — drain or failure — moves that shard's sessions, each to a
   deterministic surviving shard, plus at most a cap's worth of overflow
   rebalancing; everyone else stays put.
-* **Execution**: every shard's event loop runs on its own coordinator
-  thread, and each shard carries its own execution backend
+* **Execution**: every shard's event loop runs on its own thread, and
+  each shard carries its own execution backend
   (:mod:`repro.serve.backend`). With ``backend="process"`` the NLS
   numerics of different shards run in different OS processes — the
   fleet finally uses all host cores — while the thread backend remains
@@ -47,7 +47,7 @@ from repro.serve.telemetry import (
     obs_metrics,
 )
 
-DEFAULT_VNODES = 64
+VNODES = 64  # ring points per shard
 
 
 def _ring_hash(key: str) -> int:
@@ -58,21 +58,19 @@ def _ring_hash(key: str) -> int:
 class HashRing:
     """Consistent hashing of session ids onto shards.
 
-    Each shard contributes ``vnodes`` points; a session lands on the
-    first point clockwise from its own hash. The property the drain
+    Each shard contributes :data:`VNODES` points; a session lands on
+    the first point clockwise from its own hash. The property the drain
     logic leans on: removing one shard's points reassigns only the keys
     that mapped to them.
     """
 
-    def __init__(self, shard_ids: list[int], vnodes: int = DEFAULT_VNODES) -> None:
+    def __init__(self, shard_ids: list[int]) -> None:
         if not shard_ids:
             raise ConfigurationError("a hash ring needs at least one shard")
-        if vnodes < 1:
-            raise ConfigurationError("vnodes must be >= 1")
         self._points = sorted(
             (_ring_hash(f"shard:{sid}:vnode:{v}"), sid)
             for sid in set(shard_ids)
-            for v in range(vnodes)
+            for v in range(VNODES)
         )
 
     def preference(self, session_id: int):
@@ -108,7 +106,6 @@ def plan_shards(
     profile: LoadProfile,
     num_shards: int,
     drained: frozenset[int] | set[int] = frozenset(),
-    vnodes: int = DEFAULT_VNODES,
 ) -> tuple[ShardSpec, ...]:
     """Deterministic fleet plan: session placement + instance split.
 
@@ -132,7 +129,7 @@ def plan_shards(
     active = [sid for sid in range(num_shards) if sid not in set(drained)]
     if not active:
         raise ConfigurationError("cannot drain every shard in the fleet")
-    ring = HashRing(active, vnodes=vnodes)
+    ring = HashRing(active)
     cap = -(-profile.num_sessions // len(active))  # ceil division
     sessions_by_shard: dict[int, list[int]] = {sid: [] for sid in active}
     for session_id in range(profile.num_sessions):
@@ -161,7 +158,7 @@ def shard_service(
 ) -> LocalizationService:
     """The standalone service equivalent of one fleet shard.
 
-    Both the coordinator and the union-equivalence tests build shards
+    Both :func:`run_fleet` and the union-equivalence tests build shards
     through here, so "fleet shard" and "single-shard run" are the same
     object by construction.
     """
@@ -438,98 +435,6 @@ def merge_shard_metrics(
     }
 
 
-class FleetCoordinator:
-    """Launches shards, runs them side by side, merges their telemetry.
-
-    ``engine_factory`` builds one engine *per shard* (default: a fresh
-    in-memory engine) — shards must share nothing, or their cache
-    counters would depend on cross-shard timing.
-    """
-
-    def __init__(
-        self,
-        profile: LoadProfile,
-        num_shards: int,
-        backend: str = "thread",
-        workers: int | None = None,
-        fidelity: str = "analytical",
-        drained: frozenset[int] | set[int] = frozenset(),
-        engine_factory=None,
-        vnodes: int = DEFAULT_VNODES,
-    ) -> None:
-        self.profile = profile
-        self.num_shards = num_shards
-        self.backend = backend
-        self.workers = workers
-        self.fidelity = fidelity
-        self.drained = frozenset(drained)
-        self.engine_factory = engine_factory or (lambda: Engine(use_disk=False))
-        self.specs = plan_shards(
-            profile, num_shards, drained=self.drained, vnodes=vnodes
-        )
-
-    def run(self) -> FleetReport:
-        started = time.perf_counter()
-        # Build + fork sequentially on the calling thread (fork safety),
-        # then run every shard's event loop on its own thread. Thread
-        # backends stay GIL-bound (the oracle); process backends put each
-        # shard's numerics on separate cores. A failed prepare stops the
-        # workers of every shard started so far, its own included.
-        live: list[tuple[ShardSpec, LocalizationService]] = []
-        try:
-            for spec in self.specs:
-                if not spec.session_ids:
-                    continue
-                service = shard_service(
-                    self.profile,
-                    spec,
-                    engine=self.engine_factory(),
-                    fidelity=self.fidelity,
-                    backend=self.backend,
-                    workers=self.workers,
-                )
-                live.append((spec, service))
-                service.prepare()
-        except BaseException:
-            for _, service in live:
-                service.close()
-            raise
-        if not live:
-            raise ServeError("fleet plan left every shard empty")
-
-        with ThreadPoolExecutor(max_workers=len(live)) as executor:
-            futures = [
-                (spec, executor.submit(service.run)) for spec, service in live
-            ]
-            reports_by_shard: dict[int, ServeReport] = {}
-            errors = []
-            for spec, future in futures:
-                try:
-                    reports_by_shard[spec.shard_id] = future.result()
-                except Exception as error:  # noqa: BLE001 — reported below
-                    errors.append((spec.shard_id, error))
-        if errors:
-            detail = "; ".join(f"shard {sid}: {err}" for sid, err in errors)
-            raise ServeError(f"fleet run failed: {detail}")
-
-        shard_reports = [
-            reports_by_shard.get(spec.shard_id) for spec in self.specs
-        ]
-        merged = merge_shard_metrics(
-            [r.metrics for r in shard_reports if r is not None],
-            self.profile,
-            self.num_shards,
-            drained=self.drained,
-        )
-        return FleetReport(
-            profile=self.profile,
-            specs=self.specs,
-            shard_reports=shard_reports,
-            metrics=merged,
-            wall_seconds=time.perf_counter() - started,
-        )
-
-
 def run_fleet(
     profile: LoadProfile,
     num_shards: int,
@@ -539,13 +444,67 @@ def run_fleet(
     drained: frozenset[int] | set[int] = frozenset(),
     engine_factory=None,
 ) -> FleetReport:
-    """Convenience wrapper: plan, launch, run, merge."""
-    return FleetCoordinator(
+    """Plan the shards, run them side by side, merge their telemetry.
+
+    ``engine_factory`` builds one engine *per shard* (default: a fresh
+    in-memory engine) — shards must share nothing, or their cache
+    counters would depend on cross-shard timing.
+    """
+    drained = frozenset(drained)
+    engine_factory = engine_factory or (lambda: Engine(use_disk=False))
+    specs = plan_shards(profile, num_shards, drained=drained)
+    started = time.perf_counter()
+    # Build + fork sequentially on the calling thread (fork safety),
+    # then run every shard's event loop on its own thread. Thread
+    # backends stay GIL-bound (the oracle); process backends put each
+    # shard's numerics on separate cores. A failed prepare stops the
+    # workers of every shard started so far, its own included.
+    live: list[tuple[ShardSpec, LocalizationService]] = []
+    try:
+        for spec in specs:
+            if not spec.session_ids:
+                continue
+            service = shard_service(
+                profile,
+                spec,
+                engine=engine_factory(),
+                fidelity=fidelity,
+                backend=backend,
+                workers=workers,
+            )
+            live.append((spec, service))
+            service.prepare()
+    except BaseException:
+        for _, service in live:
+            service.close()
+        raise
+    if not live:
+        raise ServeError("fleet plan left every shard empty")
+
+    with ThreadPoolExecutor(max_workers=len(live)) as executor:
+        futures = [(spec, executor.submit(service.run)) for spec, service in live]
+        reports_by_shard: dict[int, ServeReport] = {}
+        errors = []
+        for spec, future in futures:
+            try:
+                reports_by_shard[spec.shard_id] = future.result()
+            except Exception as error:  # noqa: BLE001 — reported below
+                errors.append((spec.shard_id, error))
+    if errors:
+        detail = "; ".join(f"shard {sid}: {err}" for sid, err in errors)
+        raise ServeError(f"fleet run failed: {detail}")
+
+    shard_reports = [reports_by_shard.get(spec.shard_id) for spec in specs]
+    merged = merge_shard_metrics(
+        [r.metrics for r in shard_reports if r is not None],
         profile,
         num_shards,
-        backend=backend,
-        workers=workers,
-        fidelity=fidelity,
         drained=drained,
-        engine_factory=engine_factory,
-    ).run()
+    )
+    return FleetReport(
+        profile=profile,
+        specs=specs,
+        shard_reports=shard_reports,
+        metrics=merged,
+        wall_seconds=time.perf_counter() - started,
+    )

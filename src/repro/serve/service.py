@@ -316,9 +316,10 @@ class LocalizationService:
     def prepare(self) -> None:
         """Build sessions and start the execution backend.
 
-        Split from :meth:`run` so a fleet coordinator can fork process
-        workers from the main thread (before shard event loops start on
-        threads) — forking from a threaded process is a footgun.
+        Split from :meth:`run` so :func:`~repro.serve.fleet.run_fleet`
+        can fork process workers from the main thread (before shard event
+        loops start on threads) — forking from a threaded process is a
+        footgun.
         """
         if self._prepared:
             return

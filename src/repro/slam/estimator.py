@@ -15,7 +15,7 @@ this is the hook the run-time system of Sec. 6 uses to trade iterations
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,9 +25,8 @@ from repro.errors import DataError
 from repro.geometry.navstate import NavState
 from repro.geometry.se3 import SE3
 from repro.imu.preintegration import GRAVITY, ImuPreintegration
-from repro.obs.tracer import Trace
 from repro.slam.marginalization import marginalize_window
-from repro.slam.nls import LMConfig, levenberg_marquardt
+from repro.slam.nls import LMConfig, StageTimings, levenberg_marquardt
 from repro.slam.problem import MAX_INV_DEPTH, MIN_INV_DEPTH, WindowProblem
 from repro.slam.residuals import (
     ImuFactor,
@@ -35,7 +34,6 @@ from repro.slam.residuals import (
     VisualFactor,
     make_pose_anchor_prior,
 )
-from repro.runtime.profiler import StageTimings
 from repro.utils.rng import rng_from_seed, split_seed
 
 DEFAULT_INV_DEPTH = 0.2  # 5 m, the fallback when triangulation fails
@@ -60,9 +58,6 @@ class EstimatorConfig:
             injected into the first keyframe's initialization, emulating
             an imperfect initializer.
         seed: RNG seed for the bootstrap noise.
-        trace: optional shared :class:`repro.obs.tracer.Trace`; every
-            window optimization folds its per-stage spans into it under
-            a ``window`` parent span tagged with the frame id.
     """
 
     window_size: int = 10
@@ -80,7 +75,6 @@ class EstimatorConfig:
     bootstrap_position_sigma: float = 0.02
     bootstrap_rotation_sigma: float = 0.01
     seed: int = 0
-    trace: Trace | None = None
 
 
 @dataclass
@@ -392,12 +386,7 @@ class SlidingWindowEstimator:
             if cap_override is not None
             else self._iteration_cap(feature_count)
         )
-        lm_result = levenberg_marquardt(
-            problem,
-            replace(self.config.lm, max_iterations=cap),
-            trace=self.config.trace,
-            span_attributes={"frame_id": frame_id, "features": feature_count},
-        )
+        lm_result = levenberg_marquardt(problem, LMConfig(max_iterations=cap))
         optimized = lm_result.problem
 
         # Write the estimates back into the persistent graph.

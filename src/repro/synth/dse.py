@@ -8,9 +8,9 @@ flow, and the seconds our generator takes instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 
 from repro.hw.config import design_space_size
-from repro.obs.tracer import global_trace
 from repro.synth.spec import DesignSpec
 from repro.synth.synthesizer import synthesize
 
@@ -35,19 +35,13 @@ def exhaustive_flow_years(num_designs: int | None = None) -> float:
 
 
 def generator_seconds(spec: DesignSpec | None = None, repeats: int = 3) -> float:
-    """Measured wall-clock seconds for one full synthesis solve.
-
-    Each repeat records a ``synth``-category span on the global trace,
-    so the timing is auditable in the trace rollup.
-    """
+    """Best-of-``repeats`` wall-clock seconds for one full synthesis solve."""
     spec = spec or DesignSpec()
     best = float("inf")
-    for repeat in range(repeats):
-        with global_trace().span(
-            "generator_solve", category="synth", repeat=repeat
-        ) as span:
-            synthesize(spec)
-        best = min(best, span.duration_s)
+    for _ in range(repeats):
+        started = perf_counter()
+        synthesize(spec)
+        best = min(best, perf_counter() - started)
     return best
 
 

@@ -13,6 +13,7 @@ analogue of the paper's convex solve).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from time import perf_counter
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from repro.hw.latency import (
 )
 from repro.hw.power import DEFAULT_POWER_MODEL, PowerModel
 from repro.hw.resources import DEFAULT_RESOURCE_MODEL, ResourceModel
-from repro.obs.tracer import global_trace
 from repro.synth.spec import DesignSpec, Objective
 
 # Shared tie-breaking semantics for both solvers: every feasible point
@@ -141,48 +141,45 @@ def exhaustive_search(
     upper_bound: HardwareConfig | None = None,
 ) -> SearchOutcome:
     """Evaluate the entire (possibly bounded) space; return the optimum."""
-    with global_trace().span(
-        "exhaustive_search", category="synth", objective=spec.objective.value
-    ) as span:
-        nd_values, nm_values, s_values, latency = _latency_grid(spec, upper_bound)
-        feasible = _feasibility_grid(
-            spec, nd_values, nm_values, s_values, resource_model
-        )
-        power = _power_grid(nd_values, nm_values, s_values, power_model)
+    started = perf_counter()
+    nd_values, nm_values, s_values, latency = _latency_grid(spec, upper_bound)
+    feasible = _feasibility_grid(
+        spec, nd_values, nm_values, s_values, resource_model
+    )
+    power = _power_grid(nd_values, nm_values, s_values, power_model)
 
-        if spec.objective is Objective.POWER:
-            feasible &= latency <= spec.latency_budget_s
-            score = np.where(feasible, power, np.inf)
-            tiebreak = latency
-        else:
-            score = np.where(feasible, latency, np.inf)
-            tiebreak = power
+    if spec.objective is Objective.POWER:
+        feasible &= latency <= spec.latency_budget_s
+        score = np.where(feasible, power, np.inf)
+        tiebreak = latency
+    else:
+        score = np.where(feasible, latency, np.inf)
+        tiebreak = power
 
-        if not np.isfinite(score).any():
-            raise InfeasibleDesignError(
-                f"no (nd, nm, s) meets latency <= "
-                f"{spec.latency_budget_s * 1e3:.1f} ms "
-                f"within the resources of {spec.platform.name}"
-            )
-        # Among in-band points prefer the smallest tiebreak metric; the
-        # stable sort makes the lexicographically first (nd, nm, s) win
-        # on exact tiebreak ties — the same total order pruned_search
-        # maintains incrementally.
-        best = np.min(score)
-        candidates = np.argwhere(score <= best * (1 + _TIE_RTOL))
-        order = np.argsort(
-            [tiebreak[tuple(c)] for c in candidates], kind="stable"
+    if not np.isfinite(score).any():
+        raise InfeasibleDesignError(
+            f"no (nd, nm, s) meets latency <= "
+            f"{spec.latency_budget_s * 1e3:.1f} ms "
+            f"within the resources of {spec.platform.name}"
         )
-        i, j, k = candidates[order[0]]
-        config = HardwareConfig(
-            int(nd_values[i]), int(nm_values[j]), int(s_values[k])
-        )
-        span.attributes["points"] = int(score.size)
+    # Among in-band points prefer the smallest tiebreak metric; the
+    # stable sort makes the lexicographically first (nd, nm, s) win
+    # on exact tiebreak ties — the same total order pruned_search
+    # maintains incrementally.
+    best = np.min(score)
+    candidates = np.argwhere(score <= best * (1 + _TIE_RTOL))
+    order = np.argsort(
+        [tiebreak[tuple(c)] for c in candidates], kind="stable"
+    )
+    i, j, k = candidates[order[0]]
+    config = HardwareConfig(
+        int(nd_values[i]), int(nm_values[j]), int(s_values[k])
+    )
     return SearchOutcome(
         config=config,
         power_w=float(power[i, j, k]),
         latency_s=float(latency[i, j, k]),
-        solve_seconds=span.duration_s,
+        solve_seconds=perf_counter() - started,
         evaluated_points=int(score.size),
     )
 
@@ -206,74 +203,71 @@ def pruned_search(
     lexicographically first (nd, nm, s) on a tie — the incremental form
     of the exhaustive band + stable argsort.
     """
-    with global_trace().span(
-        "pruned_search", category="synth", objective=spec.objective.value
-    ) as span:
-        nd_values, nm_values, s_values, latency = _latency_grid(spec)
-        feasible = _feasibility_grid(
-            spec, nd_values, nm_values, s_values, resource_model
+    started = perf_counter()
+    nd_values, nm_values, s_values, latency = _latency_grid(spec)
+    feasible = _feasibility_grid(
+        spec, nd_values, nm_values, s_values, resource_model
+    )
+
+    min_score = np.inf
+    # In-band (score, tiebreak, power, latency, config) tuples in
+    # sweep (= lexicographic) order.
+    candidates: list[tuple[float, float, float, float, HardwareConfig]] = []
+    touched = 0
+    minimize_power_objective = spec.objective is Objective.POWER
+
+    def band() -> float:
+        return min_score * (1 + _TIE_RTOL)
+
+    for i, nd in enumerate(nd_values):
+        # Cheapest possible completion of this nd.
+        floor = power_model.power(
+            HardwareConfig(int(nd), int(nm_values[0]), int(s_values[0]))
         )
-
-        min_score = np.inf
-        # In-band (score, tiebreak, power, latency, config) tuples in
-        # sweep (= lexicographic) order.
-        candidates: list[tuple[float, float, float, float, HardwareConfig]] = []
-        touched = 0
-        minimize_power_objective = spec.objective is Objective.POWER
-
-        def band() -> float:
-            return min_score * (1 + _TIE_RTOL)
-
-        for i, nd in enumerate(nd_values):
-            # Cheapest possible completion of this nd.
+        if minimize_power_objective and floor > band():
+            break  # nd only grows from here; all further power floors do too
+        for j, nm in enumerate(nm_values):
             floor = power_model.power(
-                HardwareConfig(int(nd), int(nm_values[0]), int(s_values[0]))
+                HardwareConfig(int(nd), int(nm), int(s_values[0]))
             )
             if minimize_power_objective and floor > band():
-                break  # nd only grows from here; all further power floors do too
-            for j, nm in enumerate(nm_values):
-                floor = power_model.power(
-                    HardwareConfig(int(nd), int(nm), int(s_values[0]))
-                )
-                if minimize_power_objective and floor > band():
-                    break
-                for k, s in enumerate(s_values):
-                    touched += 1
-                    config = HardwareConfig(int(nd), int(nm), int(s))
-                    power = power_model.power(config)
-                    if minimize_power_objective and power > band():
-                        break  # s only grows power further
-                    if not feasible[i, j, k]:
+                break
+            for k, s in enumerate(s_values):
+                touched += 1
+                config = HardwareConfig(int(nd), int(nm), int(s))
+                power = power_model.power(config)
+                if minimize_power_objective and power > band():
+                    break  # s only grows power further
+                if not feasible[i, j, k]:
+                    continue
+                lat = latency[i, j, k]
+                if minimize_power_objective:
+                    if lat > spec.latency_budget_s:
                         continue
-                    lat = latency[i, j, k]
-                    if minimize_power_objective:
-                        if lat > spec.latency_budget_s:
-                            continue
-                        score, tiebreak = power, lat
-                    else:
-                        score, tiebreak = lat, power
-                    if score < min_score:
-                        min_score = score
-                        candidates = [
-                            c for c in candidates if c[0] <= band()
-                        ]
-                    if score <= band():
-                        candidates.append((score, tiebreak, power, lat, config))
+                    score, tiebreak = power, lat
+                else:
+                    score, tiebreak = lat, power
+                if score < min_score:
+                    min_score = score
+                    candidates = [
+                        c for c in candidates if c[0] <= band()
+                    ]
+                if score <= band():
+                    candidates.append((score, tiebreak, power, lat, config))
 
-        if not candidates:
-            raise InfeasibleDesignError(
-                f"no (nd, nm, s) meets the constraints on {spec.platform.name}"
-            )
-        winner = candidates[0]
-        for candidate in candidates[1:]:
-            if candidate[1] < winner[1]:  # strict: first-seen wins ties
-                winner = candidate
-        span.attributes["points"] = touched
+    if not candidates:
+        raise InfeasibleDesignError(
+            f"no (nd, nm, s) meets the constraints on {spec.platform.name}"
+        )
+    winner = candidates[0]
+    for candidate in candidates[1:]:
+        if candidate[1] < winner[1]:  # strict: first-seen wins ties
+            winner = candidate
     return SearchOutcome(
         config=winner[4],
         power_w=winner[2],
         latency_s=winner[3],
-        solve_seconds=span.duration_s,
+        solve_seconds=perf_counter() - started,
         evaluated_points=touched,
     )
 

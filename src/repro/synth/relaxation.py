@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
+from time import perf_counter
 from types import ModuleType
 
 import numpy as np
@@ -30,7 +31,6 @@ from repro.hw.latency import (
 )
 from repro.hw.power import DEFAULT_POWER_MODEL, PowerModel
 from repro.hw.resources import DEFAULT_RESOURCE_MODEL, ResourceModel
-from repro.obs.tracer import global_trace
 from repro.synth.optimizer import SearchOutcome
 from repro.synth.spec import DesignSpec
 
@@ -84,14 +84,14 @@ def relaxation_search(
     power_model: PowerModel = DEFAULT_POWER_MODEL,
 ) -> SearchOutcome:
     """Solve Equ. 11 by continuous relaxation + rounding + local repair."""
-    # Loaded here, outside the timed span, not at module import:
+    # Loaded here, outside the timed solve, not at module import:
     # scipy.optimize brings scipy.sparse, .spatial and .special with it
     # (~20 MiB RSS in every process), and only this solver uses it.
     from scipy import optimize
 
-    with global_trace().span("relaxation_search", category="synth") as span:
-        outcome = _solve(spec, resource_model, power_model, optimize)
-    return replace(outcome, solve_seconds=span.duration_s)
+    started = perf_counter()
+    outcome = _solve(spec, resource_model, power_model, optimize)
+    return replace(outcome, solve_seconds=perf_counter() - started)
 
 
 def _solve(
@@ -187,6 +187,6 @@ def _solve(
         latency_s=window_latency_seconds(
             spec.workload, best, spec.iterations, spec.platform
         ),
-        solve_seconds=0.0,  # stamped by the caller's span
+        solve_seconds=0.0,  # stamped by the caller
         evaluated_points=int(solution.nit),
     )

@@ -2,10 +2,9 @@
 
 Test-only module (imports :mod:`hypothesis`, which the library itself
 never depends on — keep it out of ``repro.testing.__init__``). The
-strategies wrap the deterministic builders of
-:mod:`repro.testing.workloads`, so property tests, the differential
-oracles, and ad-hoc scripts all draw from the same workload
-distributions.
+strategies build the library's own validated specs (scenarios, design
+specs, traffic forecasts, portfolios); :func:`seeds` draws the one knob
+every deterministic builder of :mod:`repro.testing.workloads` takes.
 
 Profiles: ``dev`` (the default) keeps example counts low so the local
 suite stays fast; ``ci`` raises ``max_examples`` and derandomizes —
@@ -23,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.scenarios import DEGENERATE_REGIMES, REGIMES, ScenarioSpec, mixture, pure
 from repro.synth.spec import DesignSpec
-from repro.testing.workloads import make_random_stats
 
 DEV_PROFILE = "dev"
 CI_PROFILE = "ci"
@@ -60,15 +58,6 @@ def register_profiles(default: str | None = None) -> None:
 def seeds(max_value: int = 500) -> st.SearchStrategy[int]:
     """Workload seeds — the one knob every deterministic builder takes."""
     return st.integers(min_value=0, max_value=max_value)
-
-
-# ----------------------------------------------------------------------
-# Windows and workloads
-# ----------------------------------------------------------------------
-
-def window_stats(max_features: int = 200) -> st.SearchStrategy:
-    """Randomized per-window workload statistics."""
-    return st.builds(make_random_stats, seeds(), max_features=st.just(max_features))
 
 
 # ----------------------------------------------------------------------

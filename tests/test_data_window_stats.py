@@ -1,63 +1,8 @@
-"""Tests for sliding-window structures and workload statistics."""
+"""Tests for the per-window workload statistics."""
 
-import numpy as np
 import pytest
 
-from repro.errors import DataError
-from repro.data.window import FeatureTrack, Keyframe, SlidingWindow
-from repro.data.stats import WindowStats, sequence_stats, window_stats
-from repro.geometry import NavState
-
-
-def make_window(num_frames=4, tracks=None):
-    window = SlidingWindow(
-        keyframes=[Keyframe(i, 0.2 * i, NavState()) for i in range(num_frames)]
-    )
-    from repro.imu import ImuPreintegration
-
-    window.preintegrations = [ImuPreintegration() for _ in range(num_frames - 1)]
-    for fid, obs_frames in (tracks or {}).items():
-        window.features[fid] = FeatureTrack(
-            feature_id=fid,
-            position=np.zeros(3),
-            observations={f: np.zeros(2) for f in obs_frames},
-        )
-    return window
-
-
-class TestSlidingWindow:
-    def test_validate_ok(self):
-        window = make_window(tracks={0: [0, 1], 1: [1, 2, 3]})
-        window.validate()
-
-    def test_validate_rejects_bad_preintegration_count(self):
-        window = make_window()
-        window.preintegrations.pop()
-        with pytest.raises(DataError):
-            window.validate()
-
-    def test_validate_rejects_duplicate_frames(self):
-        window = make_window()
-        window.keyframes.append(window.keyframes[0])
-        window.preintegrations.append(window.preintegrations[0])
-        with pytest.raises(DataError):
-            window.validate()
-
-    def test_validate_rejects_unknown_observation(self):
-        window = make_window(tracks={0: [0, 99]})
-        with pytest.raises(DataError):
-            window.validate()
-
-    def test_counts(self):
-        window = make_window(tracks={0: [0, 1], 1: [1, 2, 3]})
-        assert window.num_keyframes == 4
-        assert window.num_features == 2
-        assert window.num_observations == 5
-
-    def test_features_seen_only_by(self):
-        window = make_window(tracks={0: [0], 1: [0, 1], 2: [2]})
-        assert window.features_seen_only_by(0) == [0]
-        assert window.features_seen_only_by(2) == [2]
+from repro.data.stats import WindowStats, sequence_stats
 
 
 class TestWindowStats:
@@ -76,14 +21,6 @@ class TestWindowStats:
             WindowStats(
                 num_features=-1, avg_observations=0, num_keyframes=0, num_marginalized=0
             )
-
-    def test_window_stats_extraction(self):
-        window = make_window(tracks={0: [0], 1: [0, 1, 2], 2: [1, 3]})
-        stats = window_stats(window)
-        assert stats.num_features == 3
-        assert stats.num_observations == 6
-        assert stats.avg_observations == pytest.approx(2.0)
-        assert stats.num_marginalized == 1  # feature 0 seen only by kf 0
 
     def test_sequence_stats_aggregation(self):
         per_window = [

@@ -401,6 +401,10 @@ class TestNlsIntegration:
             timings.linearize_s + timings.assemble_s
             + timings.solve_s + timings.update_s
         )
+        # The sub-phases are measured inside the solve interval.
+        assert timings.solve_s >= timings.schur_s + timings.chol_s + timings.backsub_s
+        # The initial cost evaluation counts as update.
+        assert timings.update_s > 0.0
 
     def test_lm_reuses_one_plan_across_iterations(self):
         from repro.slam.nls import LMConfig, levenberg_marquardt

@@ -87,8 +87,6 @@ class TestHashRing:
     def test_empty_ring_rejected(self):
         with pytest.raises(ConfigurationError):
             HashRing([])
-        with pytest.raises(ConfigurationError):
-            HashRing([0], vnodes=0)
 
 
 class TestPlanShards:

@@ -8,12 +8,6 @@ from tests.test_slam_problem import tiny_problem
 
 
 class TestLMConfig:
-    def test_rejects_bad_schedule(self):
-        with pytest.raises(ValueError):
-            LMConfig(damping_up=0.5)
-        with pytest.raises(ValueError):
-            LMConfig(damping_down=1.5)
-
     def test_rejects_bad_iterations(self):
         from repro.errors import ConfigurationError
 
