@@ -11,7 +11,7 @@ counts cycles, so functional results and timing come from the same code.
 LAPACK's in-place ``dpotrf``/``dtrtrs``, called through SciPy's f2py
 binding ``scipy.linalg._flapack`` without importing ``scipy.linalg``, into
 the :class:`~repro.linalg.plan.SolverPlan` every solve path (estimator,
-functional HW sim, serving tier) executes.
+functional HW sim) executes.
 """
 
 from repro.linalg.cholesky import (

@@ -21,10 +21,9 @@ once and streams every window through it whatever the feature count
 * it is reused across all LM iterations of a window and, through
   :class:`SolverPlanCache` (keyed by width and thread), across every
   window of the same width;
-* every layer that solves the arrow system — the NLS solver, the
-  functional accelerator simulation, the serving tier's
-  ``--fidelity functional`` path — executes the *same* plan object, so
-  their agreement is by construction, and the dense float64 path
+* every layer that solves the arrow system — the NLS solver and the
+  functional accelerator simulation — executes the *same* plan object,
+  so their agreement is by construction, and the dense float64 path
   (:meth:`repro.slam.problem.LinearSystem.solve_dense`) remains the
   independent conformance oracle.
 

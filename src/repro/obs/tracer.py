@@ -140,20 +140,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.spans)
 
-    def totals(self, by: str = "category") -> dict[str, float]:
-        """Summed top-level-equivalent durations keyed by ``category``,
-        ``name`` or ``"category/name"`` (``by="both"``)."""
-        totals: dict[str, float] = {}
-        for span in self.spans:
-            if by == "category":
-                key = span.category
-            elif by == "name":
-                key = span.name
-            else:
-                key = f"{span.category}/{span.name}"
-            totals[key] = totals.get(key, 0.0) + span.duration_s
-        return totals
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@ Per sliding window: read the tracked-feature count from the sensing
 front-end, map it to an iteration count through the offline table,
 smooth with the 2-bit saturating counter, look up the memoized gated
 configuration, and (if it changed) pass the three numbers to the FPGA.
-The controller also does the energy bookkeeping every Sec. 7.6
+:func:`replay_windows` does the energy bookkeeping every Sec. 7.6
 experiment reports: per-window energy with and without the dynamic
 optimization.
 """
@@ -25,12 +25,7 @@ from repro.runtime.reconfig import ReconfigurationTable
 
 @dataclass(frozen=True)
 class WindowDecision:
-    """What the controller decided for one window.
-
-    (Frozen but deliberately not ``slots=True``: frozen+slots dataclasses
-    cannot be pickled on Python 3.10, and decisions ride inside pickled
-    controllers across the serve tier's process boundary.)
-    """
+    """What the controller decided for one window, with its energy."""
 
     feature_count: int
     proposed_iterations: int
@@ -56,7 +51,7 @@ class RuntimeController:
     solved offline, so one memoized instance of each is safely **shared
     read-only** across every concurrent session. The *mutable* state —
     the 2-bit saturating counter, the active gated configuration, and
-    the decision log — is per-controller, so each session must own its
+    the drift estimate — is per-controller, so each session must own its
     own ``RuntimeController`` (see :meth:`for_session`). A controller
     instance itself is single-session: it is not internally locked, and
     interleaving two robots' feature streams through one counter would
@@ -65,8 +60,6 @@ class RuntimeController:
 
     table: IterationTable
     reconfig: ReconfigurationTable
-    platform: FpgaPlatform = ZC706
-    power_model: PowerModel = DEFAULT_POWER_MODEL
     # The learned-control seam: a frozen ControllerPolicy
     # (repro.runtime.policy) replaces table lookup + counter smoothing
     # with its per-cap contextual-bandit heads. None keeps the paper's
@@ -74,7 +67,6 @@ class RuntimeController:
     # path is gated against. The policy object is frozen/shared-safe,
     # so for_session() passes it through by reference.
     policy: object | None = None
-    decisions: list[WindowDecision] = field(default_factory=list)
     _counter: TwoBitSaturatingCounter = field(init=False, repr=False)
     _active: HardwareConfig = field(init=False, repr=False)
     _drift_ewma: float = field(init=False, repr=False)
@@ -88,15 +80,11 @@ class RuntimeController:
         """A fresh controller sharing this one's read-only tables.
 
         The returned instance has its own saturating counter, active
-        configuration, drift estimate, and decision log — the pattern
-        for serving many robots against one offline-solved memo.
+        configuration and drift estimate — the pattern for serving many
+        robots against one offline-solved memo.
         """
         return RuntimeController(
-            table=self.table,
-            reconfig=self.reconfig,
-            platform=self.platform,
-            power_model=self.power_model,
-            policy=self.policy,
+            table=self.table, reconfig=self.reconfig, policy=self.policy
         )
 
     @property
@@ -152,51 +140,6 @@ class RuntimeController:
         self._active = config
         return applied, config, reconfigured
 
-    def process_window(self, stats: WindowStats) -> WindowDecision:
-        """Full per-window decision + energy accounting."""
-        proposal = self.table.lookup(stats.num_features)
-        applied, config, reconfigured = self.decide(stats.num_features)
-
-        seconds = window_latency_seconds(stats, config, applied, self.platform)
-        power = self.reconfig.gated_power(applied)
-        energy = seconds * power
-
-        static_config = self.reconfig.static_config
-        static_seconds = window_latency_seconds(
-            stats, static_config, MAX_ITERATIONS, self.platform
-        )
-        static_energy = static_seconds * self.power_model.power(static_config)
-
-        decision = WindowDecision(
-            feature_count=stats.num_features,
-            proposed_iterations=proposal,
-            applied_iterations=applied,
-            config=config,
-            reconfigured=reconfigured,
-            energy_j=energy,
-            static_energy_j=static_energy,
-        )
-        self.decisions.append(decision)
-        return decision
-
-    @property
-    def total_energy_j(self) -> float:
-        return sum(d.energy_j for d in self.decisions)
-
-    @property
-    def total_static_energy_j(self) -> float:
-        return sum(d.static_energy_j for d in self.decisions)
-
-    @property
-    def energy_saving(self) -> float:
-        """Fractional energy saved vs the static design (Sec. 7.6)."""
-        static = self.total_static_energy_j
-        return 1.0 - self.total_energy_j / static if static > 0 else 0.0
-
-    @property
-    def num_reconfigurations(self) -> int:
-        return sum(1 for d in self.decisions if d.reconfigured)
-
 
 @dataclass(frozen=True)
 class ReplayResult:
@@ -245,19 +188,37 @@ def replay_windows(
     """Replay per-window workload statistics through a fresh controller.
 
     This is the stage adapter the execution engine (and the examples)
-    use instead of hand-rolling the process-every-window loop: a fresh
-    controller sees the same feature counts the live run saw, so its
-    decisions — and therefore the energy bookkeeping — are identical.
+    use instead of hand-rolling the per-window loop: a fresh controller
+    sees the same feature counts the live run saw, so its decisions —
+    and therefore the energy bookkeeping — are identical. Each window is
+    charged its gated design's energy (Equ. 13 latency at the applied
+    ``Iter`` times the gated power) against what the static design
+    would have burned at ``MAX_ITERATIONS``.
     """
-    controller = RuntimeController(
-        table=table, reconfig=reconfig, platform=platform, power_model=power_model
-    )
+    controller = RuntimeController(table=table, reconfig=reconfig)
+    static_config = reconfig.static_config
+    static_power = power_model.power(static_config)
+    decisions = []
     for stats in stats_list:
-        controller.process_window(stats)
+        proposal = table.lookup(stats.num_features)
+        applied, config, reconfigured = controller.decide(stats.num_features)
+        seconds = window_latency_seconds(stats, config, applied, platform)
+        static_seconds = window_latency_seconds(
+            stats, static_config, MAX_ITERATIONS, platform
+        )
+        decisions.append(
+            WindowDecision(
+                feature_count=stats.num_features,
+                proposed_iterations=proposal,
+                applied_iterations=applied,
+                config=config,
+                reconfigured=reconfigured,
+                energy_j=seconds * reconfig.gated_power(applied),
+                static_energy_j=static_seconds * static_power,
+            )
+        )
     gated = {
         iterations: reconfig.gated_power(iterations)
         for iterations in range(1, max(reconfig.powers) + 1)
     }
-    return ReplayResult(
-        decisions=tuple(controller.decisions), gated_power_by_iter=gated
-    )
+    return ReplayResult(decisions=tuple(decisions), gated_power_by_iter=gated)

@@ -43,8 +43,7 @@ from repro.slam.problem import WindowProblem
 from repro.slam.residuals import ImuFactor, VisualFactor, make_pose_anchor_prior
 from repro.utils.rng import rng_from_seed, split_seed
 
-# Keyframe spacing of the nominal forward-motion shape (what
-# repro.testing.workloads.make_random_window uses).
+# Keyframe spacing of the nominal forward-motion shape.
 _NOMINAL_STEP = 0.45
 _KF_DT = 0.2
 
@@ -136,6 +135,7 @@ def _structured_window(
     track_length: int | None,
     backend: str,
     huber_delta: float | None,
+    lift_last_keyframe: float = 0.0,
 ) -> WindowProblem:
     """The shared keyframes-past-a-feature-field generator.
 
@@ -143,7 +143,8 @@ def _structured_window(
     builder, 2 = along the optical axis for highway), ``anchor_origin``
     pins every track's anchor to frame 0 (revisited landmarks),
     ``track_length`` caps how many later keyframes observe each feature
-    (``None`` = all of them — long tracks).
+    (``None`` = all of them — long tracks), and ``lift_last_keyframe``
+    pushes the final keyframe along +z after its position noise.
     """
     rng = np.random.default_rng(seed)
     camera = PinholeCamera()
@@ -153,6 +154,8 @@ def _structured_window(
         position = np.zeros(3)
         position[axis] = step * k
         position += rng.normal(scale=0.02, size=3)
+        if k == num_keyframes - 1:
+            position[2] += lift_last_keyframe
         velocity = np.zeros(3)
         velocity[axis] = step / _KF_DT
         states[k] = NavState(
@@ -200,6 +203,38 @@ def _structured_window(
     )
 
 
+def make_nominal_window(
+    seed: int,
+    num_keyframes: int = 4,
+    num_features: int = 12,
+    huber_delta: float | None = None,
+    lift_last_keyframe: float = 0.0,
+    backend: str = "batched",
+) -> WindowProblem:
+    """The nominal window: rotated keyframes stepping laterally past a
+    field of 2.5-9 m features, every track observed by all later frames.
+
+    ``lift_last_keyframe`` pushes the final keyframe down the optical
+    axis so features shallower than the lift land behind its camera —
+    the culled-observation regime the boolean mask must reproduce.
+    """
+    return _structured_window(
+        seed,
+        num_keyframes,
+        num_features,
+        step=_NOMINAL_STEP,
+        axis=0,
+        rot_noise=0.03,
+        bearing_spread=(0.4, 0.3),
+        depth_range=(2.5, 9.0),
+        anchor_origin=False,
+        track_length=None,
+        backend=backend,
+        huber_delta=huber_delta,
+        lift_last_keyframe=lift_last_keyframe,
+    )
+
+
 def make_scenario_window(
     scenario: str | ScenarioSpec,
     seed: int,
@@ -219,9 +254,7 @@ def make_scenario_window(
     regime = spec.regime_at(int(seed))
     sev = spec.severity
     if regime == REGIME_NOMINAL:
-        from repro.testing.workloads import make_random_window
-
-        return make_random_window(
+        return make_nominal_window(
             seed,
             num_keyframes=num_keyframes,
             num_features=num_features,

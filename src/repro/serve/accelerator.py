@@ -6,18 +6,17 @@ Each :class:`AcceleratorInstance` stands in for one synthesized FPGA
 1. runs the *actual* window optimization (the estimator's NLS solve —
    bit-identical to what the modeled hardware computes, per the
    conformance contract between ``hw.sim.functional`` and the software
-   solver), on a worker thread so a fleet of instances uses the host's
-   cores; and
+   solver), on an execution-backend worker (thread or process); and
 2. charges *simulated* service time in virtual seconds: the analytical
    latency model (Equ. 13-15) for the gated configuration and applied
    iteration count, plus the host-link transfer for the window payload
    (and the 3 config bytes when the decision changed).
 
-``fidelity="functional"`` additionally routes one NLS iteration through
-:func:`repro.hw.sim.functional.run_iteration_functional` so the
-per-iteration cycle charge comes from the measured Evaluate/Update
-Cholesky timeline instead of the closed-form Equ. 7-8 — slower, but it
-ties the serving tier to the cycle-level model.
+``fidelity="functional"`` takes the per-iteration cycle charge from
+:func:`repro.hw.sim.functional.iteration_cycles` — the Fig. 10
+Evaluate/Update Cholesky timeline instead of the closed-form Equ. 7-8 —
+computed from the window's :class:`WindowStats` alone, so it needs no
+window problem and runs on either execution backend.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from repro.errors import ConfigurationError
 from repro.hw.config import HardwareConfig
 from repro.hw.fpga import FpgaPlatform, ZC706
 from repro.hw.latency import marginalization_latency, nls_iteration_latency
+from repro.hw.sim.functional import iteration_cycles
 from repro.runtime.host import HostLink, window_payload_bytes
 
 FIDELITIES = ("analytical", "functional")
@@ -84,30 +84,15 @@ class AcceleratorInstance:
         config: HardwareConfig,
         iterations: int,
         reconfigured: bool,
-        problem=None,
     ) -> "ServiceCharge":
         """Virtual seconds this window occupies the instance."""
-        if self.fidelity == "functional" and problem is not None:
-            from repro.geometry.navstate import STATE_DIM
-            from repro.hw.sim.functional import run_iteration_functional
-            from repro.linalg.plan import default_plan_cache
-
-            # The process-wide cache the software estimator uses too, so
-            # serving-tier and estimator windows of the same width share
-            # plans (per worker thread; the cache is thread-keyed).
-            plan = default_plan_cache().get(
-                len(problem.inv_depths), STATE_DIM * len(problem.states)
-            )
-            execution = run_iteration_functional(
-                problem, config, platform=self.platform, plan=plan
-            )
-            compute_cycles = (
-                iterations * execution.cycles + marginalization_latency(stats, config)
-            )
+        if self.fidelity == "functional":
+            per_iteration, _ = iteration_cycles(stats, config)
         else:
-            compute_cycles = iterations * nls_iteration_latency(
-                stats, config
-            ) + marginalization_latency(stats, config)
+            per_iteration = nls_iteration_latency(stats, config)
+        compute_cycles = iterations * per_iteration + marginalization_latency(
+            stats, config
+        )
         compute = compute_cycles / self.platform.frequency_hz
         transfer = self.link.transfer_seconds(
             window_payload_bytes(stats, reconfigured=reconfigured)

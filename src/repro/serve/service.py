@@ -151,12 +151,6 @@ class LocalizationService:
         shard_id: int | None = None,
         decision_log: list | None = None,
     ) -> None:
-        if backend == "process" and fidelity == "functional":
-            raise ConfigurationError(
-                "the process backend supports analytical fidelity only "
-                "(functional fidelity needs the window problem in the "
-                "parent process); use backend='thread'"
-            )
         self.profile = profile
         self.engine = engine if engine is not None else get_engine()
         self.fidelity = fidelity
@@ -259,7 +253,6 @@ class LocalizationService:
                 sequence=sequence,
                 controller=prototype.for_session(),
                 window_size=profile.window_size,
-                capture_problems=self.fidelity == "functional",
             )
 
         self.pool: list[AcceleratorInstance] = make_pool(
@@ -547,7 +540,6 @@ class LocalizationService:
                     instance.config if portfolio else request.config,
                     request.iterations,
                     request.reconfigured,
-                    problem=session.last_problem,
                 )
                 completion = cursor + charge.total_s
                 energy = charge.compute_s * (
@@ -666,7 +658,6 @@ class LocalizationService:
                     inst.config,
                     request.iterations,
                     request.reconfigured,
-                    problem=session.last_problem,
                 )
                 for inst in free
             ]

@@ -88,9 +88,6 @@ class WindowOutcome:
     seq: int
     stats: WindowStats | None = None
     newest_position_error: float = 0.0
-    iterations: int = 0
-    accepted_steps: int = 0
-    final_cost: float = 0.0
     error_type: str | None = None
     error_message: str | None = None
 
@@ -106,9 +103,6 @@ class WindowOutcome:
             seq=request.seq,
             stats=window.stats,
             newest_position_error=window.newest_position_error,
-            iterations=window.iterations,
-            accepted_steps=window.accepted_steps,
-            final_cost=window.final_cost,
         )
 
     @classmethod
@@ -130,22 +124,13 @@ class Session:
     sequence: Sequence
     controller: RuntimeController
     window_size: int = 6
-    # Capture each window's pre-optimization problem (needed only by the
-    # pool's "functional" fidelity, which re-executes one NLS iteration
-    # through the cycle-level hardware path).
-    capture_problems: bool = False
     estimator: SlidingWindowEstimator = field(init=False)
     result: RunResult = field(init=False)
 
     def __post_init__(self) -> None:
-        self.last_problem = None
-        probe = self._capture_problem if self.capture_problems else None
         self.estimator = SlidingWindowEstimator(
             EstimatorConfig(
-                window_size=self.window_size,
-                lm=LMConfig(),
-                window_probe=probe,
-                seed=self.session_id,
+                window_size=self.window_size, lm=LMConfig(), seed=self.session_id
             )
         )
         self.result = self.estimator.start(self.sequence)
@@ -229,10 +214,6 @@ class Session:
     # ------------------------------------------------------------------
     # Worker side (runs on an accelerator thread while INFLIGHT)
     # ------------------------------------------------------------------
-
-    def _capture_problem(self, problem, frame_id) -> None:
-        del frame_id
-        self.last_problem = problem
 
     def execute(self, request: WindowRequest) -> WindowResult:
         """Run the window optimization the accelerator would perform."""

@@ -4,9 +4,13 @@ Given a latency constraint, a resource budget (an FPGA platform), and a
 workload, the synthesizer solves the constrained optimization of Equ. 11
 (minimize power) or Equ. 12 (minimize latency) over the (nd, nm, s)
 design space, then emits the concrete accelerator (the RTL of
-:mod:`repro.hw.rtl`). The solver is exact: the 90,000-point space is
-searched with monotonicity pruning in milliseconds, strictly stronger
-than the paper's near-optimal mixed-integer convex solve.
+:mod:`repro.hw.rtl`). The solver is exact: :func:`synthesize` evaluates
+the whole 90,000-point space as vectorized grids in milliseconds
+(:func:`exhaustive_search`), strictly stronger than the paper's
+near-optimal mixed-integer convex solve. :func:`pruned_search`
+(monotonicity pruning, the same optimum) and :func:`relaxation_search`
+(the paper's relax-and-round approach, near-optimal) are comparison
+solvers.
 """
 
 from repro.synth.spec import DesignSpec, Objective

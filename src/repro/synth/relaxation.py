@@ -23,11 +23,13 @@ from repro.errors import InfeasibleDesignError
 from repro.hw.config import HardwareConfig, ND_RANGE, NM_RANGE, S_RANGE
 from repro.hw.fpga import RESOURCE_KINDS
 from repro.hw.latency import (
+    CYCLES_PER_MAC,
     backsub_latency,
     cholesky_latency,
     dschur_feature_latency,
     jacobian_feature_latency,
     mschur_latency,
+    window_latency_seconds,
 )
 from repro.hw.power import DEFAULT_POWER_MODEL, PowerModel
 from repro.hw.resources import DEFAULT_RESOURCE_MODEL, ResourceModel
@@ -68,8 +70,6 @@ class _ContinuousLatency:
         am, b = self._am, max(stats.num_keyframes, 2)
         bk = (15.0 + am) / max(nm, 1e-6)
         keep = 6.0 * (b - 1) + 9.0
-        from repro.hw.latency import CYCLES_PER_MAC
-
         mschur = CYCLES_PER_MAC * (
             15.0 * am + am * am + bk * (15.0 + am) * keep + bk * keep * keep
         )
@@ -150,8 +150,6 @@ def _solve(
     # Round to the neighboring lattice and locally repair: among the 27
     # integer neighbours (then an expanding ring if none is feasible),
     # pick the min-power feasible point.
-    from repro.hw.latency import window_latency_seconds
-
     def feasible(config: HardwareConfig) -> bool:
         if not resource_model.fits(config, spec.platform, spec.resource_budget):
             return False

@@ -13,13 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.stats import WindowStats
-from repro.geometry.camera import PinholeCamera
-from repro.geometry.navstate import NavState
-from repro.geometry.se3 import SE3
-from repro.geometry.so3 import so3_exp
-from repro.imu.preintegration import ImuPreintegration
+from repro.scenarios.builders import (
+    make_nominal_window,
+    make_scenario_stats_series,
+    make_scenario_window,
+)
 from repro.slam.problem import WindowProblem
-from repro.slam.residuals import ImuFactor, VisualFactor, make_pose_anchor_prior
 
 
 def make_random_window(
@@ -33,17 +32,13 @@ def make_random_window(
 ) -> WindowProblem:
     """A randomized window with rotated keyframes and noisy pixels.
 
-    ``lift_last_keyframe`` pushes the final keyframe down the optical
-    axis so features shallower than the lift land behind its camera —
-    the culled-observation regime the boolean mask must reproduce.
-
-    ``scenario`` reshapes the window into a named degenerate regime via
+    The nominal shape, ``lift_last_keyframe`` included, is
+    :func:`repro.scenarios.builders.make_nominal_window`. ``scenario``
+    reshapes the window into a named degenerate regime via
     :func:`repro.scenarios.make_scenario_window` (``None``/``"nominal"``
     keeps the nominal shape and its exact historical RNG draw order).
     """
     if scenario is not None and scenario != "nominal":
-        from repro.scenarios import make_scenario_window
-
         return make_scenario_window(
             scenario,
             seed,
@@ -52,60 +47,12 @@ def make_random_window(
             backend=backend,
             huber_delta=huber_delta,
         )
-    rng = np.random.default_rng(seed)
-    camera = PinholeCamera()
-    states: dict[int, NavState] = {}
-    for k in range(num_keyframes):
-        rotation = so3_exp(rng.normal(scale=0.03, size=3))
-        position = np.array([0.45 * k, 0.0, 0.0]) + rng.normal(scale=0.02, size=3)
-        if k == num_keyframes - 1:
-            position[2] += lift_last_keyframe
-        states[k] = NavState(
-            pose=SE3(rotation, position),
-            velocity=np.array([0.45 / 0.2, 0.0, 0.0]) + rng.normal(scale=0.05, size=3),
-        )
-
-    factors: list[VisualFactor] = []
-    inv_depths: dict[int, float] = {}
-    for fid in range(num_features):
-        anchor = int(rng.integers(0, num_keyframes - 1))
-        bearing = np.array([rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3), 1.0])
-        depth = rng.uniform(2.5, 9.0)
-        observed = 0
-        for target in range(anchor + 1, num_keyframes):
-            pixel = np.array(
-                [rng.uniform(0.0, camera.width), rng.uniform(0.0, camera.height)]
-            )
-            factors.append(
-                VisualFactor(
-                    fid,
-                    anchor,
-                    target,
-                    bearing,
-                    pixel,
-                    weight=float(rng.uniform(0.5, 2.0)),
-                )
-            )
-            observed += 1
-        if observed:
-            inv_depths[fid] = float(1.0 / depth)
-    factors = [f for f in factors if f.feature_id in inv_depths]
-
-    imu_factors = []
-    for k in range(1, num_keyframes):
-        pre = ImuPreintegration()
-        for _ in range(40):
-            pre.integrate(np.zeros(3), np.array([0.0, 0.0, 9.81]), 0.005, 1e-3, 1e-2)
-        imu_factors.append(ImuFactor(k - 1, k, pre))
-
-    return WindowProblem(
-        camera=camera,
-        states=states,
-        inv_depths=inv_depths,
-        visual_factors=factors,
-        imu_factors=imu_factors,
-        priors=[make_pose_anchor_prior(0, states[0])],
+    return make_nominal_window(
+        seed,
+        num_keyframes=num_keyframes,
+        num_features=num_features,
         huber_delta=huber_delta,
+        lift_last_keyframe=lift_last_keyframe,
         backend=backend,
     )
 
@@ -144,8 +91,6 @@ def make_stats_series(
     :func:`repro.scenarios.make_scenario_stats_series`.
     """
     if scenario is not None and scenario != "nominal":
-        from repro.scenarios import make_scenario_stats_series
-
         return make_scenario_stats_series(
             scenario,
             seed,

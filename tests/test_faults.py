@@ -16,7 +16,7 @@ from repro.data.stats import WindowStats
 from repro.engine.engine import Engine
 from repro.engine.stages import SEQUENCE
 from repro.errors import ConfigurationError, DataError, SolverError
-from repro.runtime.controller import RuntimeController
+from repro.runtime.controller import replay_windows
 from repro.runtime.profiler import IterationTable
 from repro.slam import EstimatorConfig, SlidingWindowEstimator
 from repro.slam.nls import LMConfig, levenberg_marquardt
@@ -157,18 +157,23 @@ class TestRuntimeControllerDegradation:
     def test_controller_survives_starved_windows(self):
         from repro.engine.stages import design_reconfiguration
 
-        controller = RuntimeController(
-            table=IterationTable(), reconfig=design_reconfiguration("High-Perf")
-        )
-        for features in (0, 1, 0, 3):
-            stats = WindowStats(
+        stats = [
+            WindowStats(
                 num_features=features,
                 avg_observations=0.0 if not features else 2.0,
                 num_keyframes=2,
                 num_marginalized=0,
             )
-            decision = graceful_outcome(lambda s=stats: controller.process_window(s))
-            assert decision.recovered
-            assert np.isfinite(decision.result.energy_j)
-            assert decision.result.energy_j >= 0.0
-        assert controller.total_energy_j >= 0.0
+            for features in (0, 1, 0, 3)
+        ]
+        replay = graceful_outcome(
+            lambda: replay_windows(
+                stats, IterationTable(), design_reconfiguration("High-Perf")
+            )
+        )
+        assert replay.recovered
+        assert len(replay.result.decisions) == len(stats)
+        for decision in replay.result.decisions:
+            assert np.isfinite(decision.energy_j)
+            assert decision.energy_j >= 0.0
+        assert replay.result.total_energy_j >= 0.0

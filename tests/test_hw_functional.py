@@ -3,9 +3,24 @@
 import numpy as np
 import pytest
 
+from repro.data.stats import WindowStats
 from repro.hw import HardwareConfig
-from repro.hw.sim.functional import run_iteration_functional
+from repro.hw.sim.functional import iteration_cycles, run_iteration_functional
+from repro.scenarios import REGIMES
+from repro.testing.workloads import make_random_window
 from tests.test_slam_problem import tiny_problem
+
+
+def window_counts(problem):
+    """The window's counts as the estimator's ``_window_stats`` takes
+    them: distinct observed features and observations per feature."""
+    features = len({factor.feature_id for factor in problem.visual_factors})
+    return WindowStats(
+        num_features=features,
+        avg_observations=len(problem.visual_factors) / features if features else 0.0,
+        num_keyframes=len(problem.states),
+        num_marginalized=0,
+    )
 
 
 class TestFunctionalExecution:
@@ -45,3 +60,26 @@ class TestFunctionalExecution:
         problem, _ = tiny_problem()
         hw = run_iteration_functional(problem, HardwareConfig(8, 8, 8))
         assert hw.seconds == pytest.approx(hw.cycles / 143e6)
+
+    @pytest.mark.parametrize("scenario", REGIMES)
+    def test_cycles_follow_from_window_counts(self, scenario):
+        """Serving-tier functional fidelity prices a window from its
+        counts alone; that must equal the timeline over the factored
+        matrix, on every regime's shape and across configs."""
+        configs = (
+            HardwareConfig(2, 2, 1),
+            HardwareConfig(16, 8, 24),
+            HardwareConfig(30, 25, 60),
+        )
+        for seed in range(6):
+            problem = make_random_window(
+                seed,
+                num_keyframes=3 + seed % 4,
+                num_features=10 + 3 * seed,
+                scenario=scenario,
+            )
+            stats = window_counts(problem)
+            for config in configs:
+                hw = run_iteration_functional(problem, config)
+                expected = (hw.cycles, hw.cholesky_rounds)
+                assert iteration_cycles(stats, config) == expected

@@ -49,15 +49,6 @@ class TestTrace:
         assert len(trace) == 16
         assert all(s.track == 0 for s in trace.spans)
 
-    def test_totals(self):
-        trace = Trace(clock=CLOCK_VIRTUAL)
-        trace.add_span("a", category="x", duration_s=1.0)
-        trace.add_span("b", category="x", duration_s=2.0)
-        trace.add_span("a", category="y", duration_s=4.0)
-        assert trace.totals() == {"x": 3.0, "y": 4.0}
-        assert trace.totals(by="name") == {"a": 5.0, "b": 2.0}
-        assert trace.totals(by="both") == {"x/a": 1.0, "x/b": 2.0, "y/a": 4.0}
-
     def test_spans_by_category(self):
         trace = Trace(clock=CLOCK_VIRTUAL)
         trace.add_span("a", category="x")

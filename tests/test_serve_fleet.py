@@ -265,14 +265,20 @@ class TestBackends:
                 fleet_profile(), engine=Engine(use_disk=False), backend="fiber"
             ).run()
 
-    def test_process_backend_rejected_for_functional_fidelity(self):
-        with pytest.raises(ConfigurationError):
+    def test_process_backend_matches_thread_functional_fidelity(self):
+        profile = fleet_profile(num_sessions=3, num_instances=2)
+        thread, process = (
             LocalizationService(
-                fleet_profile(),
+                profile,
                 engine=Engine(use_disk=False),
                 fidelity="functional",
-                backend="process",
-            )
+                backend=backend,
+            ).run()
+            for backend in ("thread", "process")
+        )
+        assert json.dumps(thread.metrics, sort_keys=True) == json.dumps(
+            process.metrics, sort_keys=True
+        )
 
     def test_worker_exception_is_named_in_serve_error(self):
         """An untyped exception inside a worker's run must reach the
@@ -516,16 +522,13 @@ class TestWireTypesPickle:
             seq=9,
             stats=None,
             newest_position_error=0.125,
-            iterations=4,
-            accepted_steps=3,
-            final_cost=1.5,
             error_type=None,
             error_message=None,
         )
         clone = pickle.loads(pickle.dumps(outcome))
         assert clone.ok
         assert clone.seq == 9
-        assert clone.final_cost == 1.5
+        assert clone.newest_position_error == 0.125
 
     def test_runtime_controller_round_trips(self):
         result = high_perf_design()
@@ -538,4 +541,3 @@ class TestWireTypesPickle:
         # The mutable hysteresis state must travel too: both copies make
         # the same next decision.
         assert clone.iteration_policy(110) == controller.iteration_policy(110)
-        assert clone.decisions == controller.decisions
