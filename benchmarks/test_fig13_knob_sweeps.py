@@ -35,7 +35,7 @@ def test_fig13c_s_sweep(benchmark):
 def test_joint_knob_span():
     """Sec. 4.1: varying the three knobs jointly changes the end-to-end
     latency by over 20x and the resource consumption by about 3x."""
-    from repro.hw import DEFAULT_RESOURCE_MODEL, HardwareConfig, LatencyModel, ZC706
+    from repro.hw import DEFAULT_RESOURCE_MODEL, HardwareConfig, LatencyModel
 
     latency = LatencyModel()
     smallest = HardwareConfig(1, 1, 1)

@@ -16,7 +16,7 @@ from repro.data.stats import WindowStats
 from repro.errors import ConfigurationError
 from repro.geometry.camera import PinholeCamera
 from repro.geometry.se3 import SE3
-from repro.geometry.so3 import random_rotation, so3_exp
+from repro.geometry.so3 import random_rotation
 from repro.apps.nls import NlsSolution
 from repro.utils.rng import rng_from_seed
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.data.sequences import Sequence
 from repro.errors import ConfigurationError
-from repro.geometry.camera import PinholeCamera
 from repro.geometry.se3 import SE3
 from repro.geometry.so3 import hat, so3_exp
 from repro.imu.preintegration import GRAVITY
@@ -128,9 +127,11 @@ class MsckfFilter:
             result.operation_count += covariance.size
 
             # Register observations; fire updates for tracks that ended.
-            current = set(sequence.observations[frame_id].pixels)
+            obs = sequence.observations[frame_id]
+            ids = obs.ids.tolist()
+            current = set(ids)
             ended = [fid for fid in tracks if fid not in current]
-            for fid, pixel in sequence.observations[frame_id].pixels.items():
+            for fid, pixel in zip(ids, obs.pixels):
                 tracks.setdefault(fid, []).append((frame_id, pixel))
 
             updates = []

@@ -71,14 +71,8 @@ def sequence_to_arrays(sequence: Sequence) -> dict[str, np.ndarray]:
         arrays[f"imu_{i}_a"] = segment.accel
         arrays[f"imu_{i}_dt"] = np.array([segment.dt])
     for i, obs in enumerate(sequence.observations):
-        if obs.pixels:
-            ids = np.array(sorted(obs.pixels), dtype=np.int64)
-            pix = np.stack([obs.pixels[j] for j in ids])
-        else:
-            ids = np.zeros(0, dtype=np.int64)
-            pix = np.zeros((0, 2))
-        arrays[f"obs_{i}_ids"] = ids
-        arrays[f"obs_{i}_px"] = pix
+        arrays[f"obs_{i}_ids"] = obs.ids
+        arrays[f"obs_{i}_px"] = obs.pixels
     return arrays
 
 
@@ -122,14 +116,10 @@ def sequence_from_arrays(data: Mapping[str, np.ndarray]) -> Sequence:
                 dt=float(data[f"imu_{i}_dt"][0]),
             )
         )
-    observations = []
-    for i in range(len(timestamps)):
-        ids = data[f"obs_{i}_ids"]
-        pix = data[f"obs_{i}_px"]
-        frame = FrameObservations(i)
-        for fid, pixel in zip(ids, pix):
-            frame.pixels[int(fid)] = np.asarray(pixel, dtype=float)
-        observations.append(frame)
+    observations = [
+        FrameObservations(i, data[f"obs_{i}_ids"], data[f"obs_{i}_px"])
+        for i in range(len(timestamps))
+    ]
     return Sequence(
         config=config,
         timestamps=timestamps,

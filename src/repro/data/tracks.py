@@ -11,7 +11,7 @@ per feature (the paper's ``No``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,14 +55,21 @@ class TrackerConfig:
 
 @dataclass
 class FrameObservations:
-    """All feature observations of one keyframe: feature id -> pixel."""
+    """All feature observations of one keyframe, as two aligned arrays.
+
+    Attributes:
+        frame_id: the keyframe index.
+        ids: ``(n,)`` int64 feature ids, strictly ascending.
+        pixels: ``(n, 2)`` float64; row ``i`` is feature ``ids[i]``'s pixel.
+    """
 
     frame_id: int
-    pixels: dict[int, np.ndarray] = field(default_factory=dict)
+    ids: np.ndarray
+    pixels: np.ndarray
 
     @property
     def num_features(self) -> int:
-        return len(self.pixels)
+        return len(self.ids)
 
 
 def project_landmarks(
@@ -131,7 +138,7 @@ class FeatureTracker:
                 candidates = rng.choice(candidates, size=budget, replace=False)
             survivors.update(candidates.tolist())
 
-        ids = sorted(survivors)
+        ids = np.array(sorted(survivors), dtype=np.int64)
         pixels = projected[ids]
         if config.outlier_probability > 0.0:
             # Whether a feature's next two draws are uniforms (outlier)
@@ -149,4 +156,4 @@ class FeatureTracker:
         else:
             pixels += rng.normal(scale=config.pixel_sigma, size=(len(ids), 2))
         self._active = survivors
-        return FrameObservations(frame_id, dict(zip(ids, pixels)))
+        return FrameObservations(frame_id, ids, pixels)

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.experiments.common import ExperimentResult
 from repro.hw import (
-    DEFAULT_POWER_MODEL,
     DEFAULT_RESOURCE_MODEL,
     HardwareConfig,
     LatencyModel,

@@ -3,8 +3,6 @@ accelerators, other FPGAs and other algorithms."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.baselines import (
     ARM_A57,
     HLS_CHOLESKY,
@@ -13,7 +11,7 @@ from repro.baselines import (
 )
 from repro.apps import curve_fitting_workload, pose_estimation_workload
 from repro.experiments.common import ExperimentResult
-from repro.hw import REFERENCE_WORKLOAD, window_latency_seconds
+from repro.hw import REFERENCE_WORKLOAD
 from repro.hw.fpga import KINTEX7_160T, VIRTEX7_690T, ZC706
 from repro.hw.latency import cholesky_latency, nls_iteration_latency
 from repro.synth import (

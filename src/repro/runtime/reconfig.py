@@ -11,7 +11,7 @@ table lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.errors import InfeasibleDesignError
 from repro.hw.config import HardwareConfig

@@ -11,7 +11,7 @@ stdout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 # The log-binned histogram lives in repro.obs.metrics now — one

@@ -279,8 +279,10 @@ class SlidingWindowEstimator:
     def _register_observations(self, sequence: Sequence, frame_id: int, camera) -> None:
         pixel_sigma = max(sequence.config.tracker.pixel_sigma, 1e-3)
         weight = 1.0 / (pixel_sigma * pixel_sigma)
-        for fid, pixel in sequence.observations[frame_id].pixels.items():
-            if not np.all(np.isfinite(pixel)):
+        obs = sequence.observations[frame_id]
+        finite = np.isfinite(obs.pixels).all(axis=1).tolist()
+        for fid, pixel, ok in zip(obs.ids.tolist(), obs.pixels, finite):
+            if not ok:
                 # A dead tracker output (NaN/inf pixel) constrains
                 # nothing; dropping it keeps the window solvable instead
                 # of poisoning every block it touches.

@@ -429,11 +429,13 @@ class WindowProblem:
         for i, fid in enumerate(system.frame_ids):
             delta = d_state[STATE_DIM * i : STATE_DIM * (i + 1)]
             new_states[fid] = new_states[fid].retract(delta)
+        clipped = np.clip(
+            self._inv_depth_vector(system.feature_ids) + d_lambda,
+            MIN_INV_DEPTH,
+            MAX_INV_DEPTH,
+        )
         new_depths = dict(self.inv_depths)
-        for i, fid in enumerate(system.feature_ids):
-            new_depths[fid] = float(
-                np.clip(new_depths[fid] + d_lambda[i], MIN_INV_DEPTH, MAX_INV_DEPTH)
-            )
+        new_depths.update(zip(system.feature_ids, clipped.tolist()))
         stepped = WindowProblem(
             camera=self.camera,
             states=new_states,

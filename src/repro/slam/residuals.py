@@ -189,13 +189,22 @@ class ImuFactor:
         return self._residual_terms(state_i, state_j)[0]
 
     def information(self) -> np.ndarray:
-        """The 15x15 residual information (preintegration + bias walk)."""
-        pre = self.preintegration
-        information = np.zeros((15, 15))
-        information[0:9, 0:9] = pre.information_matrix()
-        information[9:15, 9:15] = np.diag(
-            self.bias_walk_info / max(pre.dt_total, 1e-6)
-        )
+        """The 15x15 residual information (preintegration + bias walk).
+
+        Built on the first call and shared after it: the preintegration
+        covariance is final once the factor exists. The array is
+        read-only, so a caller that writes to it raises.
+        """
+        information = self.__dict__.get("_information")
+        if information is None:
+            pre = self.preintegration
+            information = np.zeros((15, 15))
+            information[0:9, 0:9] = pre.information_matrix()
+            information[9:15, 9:15] = np.diag(
+                self.bias_walk_info / max(pre.dt_total, 1e-6)
+            )
+            information.flags.writeable = False
+            self.__dict__["_information"] = information
         return information
 
     def linearize(self, state_i: NavState, state_j: NavState) -> ImuLinearization:

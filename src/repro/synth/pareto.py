@@ -18,7 +18,7 @@ from repro.hw.config import HardwareConfig, ND_RANGE, NM_RANGE, S_RANGE
 from repro.hw.latency import LatencyModel
 from repro.hw.power import DEFAULT_POWER_MODEL, PowerModel
 from repro.synth.spec import DesignSpec
-from repro.synth.synthesizer import SynthesisResult, synthesize
+from repro.synth.synthesizer import synthesize
 
 
 @dataclass(frozen=True)

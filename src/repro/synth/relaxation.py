@@ -28,7 +28,6 @@ from repro.hw.latency import (
     cholesky_latency,
     dschur_feature_latency,
     jacobian_feature_latency,
-    mschur_latency,
     window_latency_seconds,
 )
 from repro.hw.power import DEFAULT_POWER_MODEL, PowerModel
@@ -66,7 +65,6 @@ class _ContinuousLatency:
         nls = self._a * per_feature + chol + self._sub
         # Continuous Equ. 10: inline with real-valued nm.
         stats = self._spec.workload
-        mschur = mschur_latency(stats, 1) * 0.0  # placeholder, computed below
         am, b = self._am, max(stats.num_keyframes, 2)
         bk = (15.0 + am) / max(nm, 1e-6)
         keep = 6.0 * (b - 1) + 9.0

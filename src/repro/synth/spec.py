@@ -7,7 +7,7 @@ evaluated on, and the optimization objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.data.stats import WindowStats

@@ -31,47 +31,38 @@ CACHE_CORRUPTION_MODES = ("truncate", "garbage", "empty")
 # Sequence-level injectors
 # ----------------------------------------------------------------------
 
-def _copy_observations(sequence: Sequence) -> list[FrameObservations]:
-    return [
-        FrameObservations(
-            frame_id=obs.frame_id,
-            pixels={fid: pixel.copy() for fid, pixel in obs.pixels.items()},
-        )
-        for obs in sequence.observations
-    ]
-
-
 def inject_nan_tracks(
     sequence: Sequence, fraction: float = 0.2, seed: int = 0
 ) -> Sequence:
     """Replace a fraction of pixel observations with NaN (dead tracker).
 
     Every faulted pixel becomes ``[nan, nan]``; which observations are
-    hit is a deterministic function of ``seed``.
+    hit is a deterministic function of ``seed``: one uniform per
+    observation, in frame order and ascending feature id within a frame.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ConfigurationError(f"fraction must be in [0, 1], got {fraction}")
     rng = np.random.default_rng(seed)
-    observations = _copy_observations(sequence)
-    for obs in observations:
-        for fid in sorted(obs.pixels):
-            if rng.uniform() < fraction:
-                obs.pixels[fid] = np.array([np.nan, np.nan])
+    observations = []
+    for obs in sequence.observations:
+        pixels = obs.pixels.copy()
+        pixels[rng.uniform(size=obs.num_features) < fraction] = np.nan
+        observations.append(FrameObservations(obs.frame_id, obs.ids.copy(), pixels))
     return replace(sequence, observations=observations)
 
 
 def inject_track_dropout(
     sequence: Sequence, fraction: float = 0.5, seed: int = 0
 ) -> Sequence:
-    """Delete a fraction of pixel observations (lost tracks)."""
+    """Delete a fraction of pixel observations (lost tracks), drawn as in
+    :func:`inject_nan_tracks`."""
     if not 0.0 <= fraction <= 1.0:
         raise ConfigurationError(f"fraction must be in [0, 1], got {fraction}")
     rng = np.random.default_rng(seed)
-    observations = _copy_observations(sequence)
-    for obs in observations:
-        for fid in sorted(obs.pixels):
-            if rng.uniform() < fraction:
-                del obs.pixels[fid]
+    observations = []
+    for obs in sequence.observations:
+        keep = rng.uniform(size=obs.num_features) >= fraction
+        observations.append(FrameObservations(obs.frame_id, obs.ids[keep], obs.pixels[keep]))
     return replace(sequence, observations=observations)
 
 

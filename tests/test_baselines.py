@@ -15,13 +15,12 @@ from repro.baselines import (
     dense_lm_solve,
 )
 from repro.errors import ConfigurationError
-from repro.hw import HardwareConfig, REFERENCE_WORKLOAD
+from repro.hw import REFERENCE_WORKLOAD
 from repro.hw.latency import (
     cholesky_latency,
     nls_iteration_latency,
     window_latency_seconds,
 )
-from repro.hw.power import DEFAULT_POWER_MODEL
 from repro.slam.nls import LMConfig, levenberg_marquardt
 from repro.synth import high_perf_design
 from tests.test_slam_problem import tiny_problem

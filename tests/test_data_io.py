@@ -1,5 +1,9 @@
 """Tests for sequence serialization."""
 
+import gc
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,7 @@ from repro.data.io import (
     sequence_from_arrays,
     sequence_to_arrays,
 )
+from repro.data.tracks import FeatureTracker, TrackerConfig
 from repro.errors import DataError
 
 
@@ -42,9 +47,8 @@ class TestSerialization:
     def test_observations_preserved(self, round_trip):
         original, loaded, _ = round_trip
         for a, b in zip(original.observations, loaded.observations):
-            assert a.pixels.keys() == b.pixels.keys()
-            for fid in a.pixels:
-                assert np.allclose(a.pixels[fid], b.pixels[fid])
+            assert a.ids.tobytes() == b.ids.tobytes()
+            assert np.allclose(a.pixels, b.pixels)
 
     def test_imu_preserved(self, round_trip):
         original, loaded, _ = round_trip
@@ -103,3 +107,50 @@ class TestSerialization:
         )
         with pytest.raises(DataError):
             sequence_from_arrays(arrays)
+
+    def test_empty_keyframe_round_trip(self, tmp_path):
+        """A keyframe that sees no landmark encodes and decodes as the
+        ``(0,)`` / ``(0, 2)`` pair the tracker hands out."""
+        sequence = make_euroc_sequence("MH_01", duration=1.0)
+        config = sequence.config
+        empty = FeatureTracker(
+            config.camera, np.empty((0, 3)), TrackerConfig(), np.random.default_rng(0)
+        ).observe(2, sequence.true_states[2].pose)
+        observations = list(sequence.observations)
+        observations[2] = empty
+        sequence = replace(sequence, observations=observations)
+        path = tmp_path / "empty.npz"
+        save_sequence(sequence, path)
+        loaded = load_sequence(path)
+        frame = loaded.observations[2]
+        assert (frame.ids.shape, frame.ids.dtype) == ((0,), np.int64)
+        assert (frame.pixels.shape, frame.pixels.dtype) == ((0, 2), np.float64)
+        expected, actual = sequence_to_arrays(sequence), sequence_to_arrays(loaded)
+        assert actual.keys() == expected.keys()
+        for key, value in expected.items():
+            assert actual[key].dtype == value.dtype, key
+            assert actual[key].shape == value.shape, key
+            assert actual[key].tobytes() == value.tobytes(), key
+
+
+def test_observation_storage_per_observation(tmp_path):
+    """A decoded recording holds its observations as two arrays per
+    keyframe: 24 B of data per observation (an int64 id and two float64
+    pixel coordinates) plus a few objects per keyframe. The bound fails a
+    dict of per-observation pixel views, which costs about 180 B each."""
+    path = tmp_path / "mh01.npz"
+    save_sequence(make_euroc_sequence("MH_01", duration=15.0), path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sequence = load_sequence(path)
+        num_obs = int(sequence.feature_counts().sum())
+        gc.collect()
+        with_observations = tracemalloc.get_traced_memory()[0]
+        sequence.observations = []
+        gc.collect()
+        without = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert num_obs > 5000
+    assert (with_observations - without) / num_obs < 40.0

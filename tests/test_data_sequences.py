@@ -72,7 +72,7 @@ class TestSequenceGeneration:
         b = make_euroc_sequence("MH_02", duration=2.0)
         assert np.array_equal(a.landmarks, b.landmarks)
         assert np.array_equal(a.imu_segments[0].gyro, b.imu_segments[0].gyro)
-        assert a.observations[3].pixels.keys() == b.observations[3].pixels.keys()
+        assert a.observations[3].ids.tobytes() == b.observations[3].ids.tobytes()
 
     def test_distinct_sequences_differ(self):
         a = make_euroc_sequence("MH_01", duration=2.0)
@@ -96,10 +96,10 @@ class TestSequenceGeneration:
     def test_observations_are_in_image(self, euroc):
         camera = euroc.config.camera
         for obs in euroc.observations[:10]:
-            for pixel in obs.pixels.values():
-                # Noise can push a pixel slightly outside; allow margin.
-                assert -10 <= pixel[0] <= camera.width + 10
-                assert -10 <= pixel[1] <= camera.height + 10
+            u, v = obs.pixels[:, 0], obs.pixels[:, 1]
+            # Noise can push a pixel slightly outside; allow margin.
+            assert np.all((-10 <= u) & (u <= camera.width + 10))
+            assert np.all((-10 <= v) & (v <= camera.height + 10))
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -165,7 +165,7 @@ class _ReferenceTracker(FeatureTracker):
                 candidates = self._rng.choice(candidates, size=budget, replace=False)
             survivors.update(int(c) for c in candidates)
 
-        observations = FrameObservations(frame_id)
+        ids, pixels = [], []
         for fid in sorted(survivors):
             if (
                 self.config.outlier_probability > 0.0
@@ -182,9 +182,14 @@ class _ReferenceTracker(FeatureTracker):
                     self.camera.project(true_pose, self.landmarks[fid]), dtype=float
                 )
                 pixel += self._rng.normal(scale=self.config.pixel_sigma, size=2)
-            observations.pixels[fid] = pixel
+            ids.append(fid)
+            pixels.append(pixel)
         self._active = survivors
-        return observations
+        return FrameObservations(
+            frame_id,
+            np.array(ids, dtype=np.int64),
+            np.array(pixels, dtype=float).reshape(len(ids), 2),
+        )
 
 
 def _reference_sequence(config: SequenceConfig) -> Sequence:
@@ -321,9 +326,10 @@ def test_tracker_matches_per_feature_reference(config, num_landmarks, num_frames
     for frame_id, pose in enumerate(poses):
         actual, expected = batched.observe(frame_id, pose), reference.observe(frame_id, pose)
         assert actual.frame_id == expected.frame_id
-        assert list(actual.pixels) == list(expected.pixels)
-        for fid, pixel in expected.pixels.items():
-            assert actual.pixels[fid].dtype == pixel.dtype
-            assert actual.pixels[fid].tobytes() == pixel.tobytes()
+        for name in ("ids", "pixels"):
+            a, e = getattr(actual, name), getattr(expected, name)
+            assert a.dtype == e.dtype, name
+            assert a.shape == e.shape, name
+            assert a.tobytes() == e.tobytes(), name
         assert list(batched._active) == list(reference._active)
     assert batched._rng.bit_generator.state == reference._rng.bit_generator.state

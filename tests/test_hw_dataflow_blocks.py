@@ -1,6 +1,5 @@
 """Tests for the dataflow ablation and the template block inventory."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

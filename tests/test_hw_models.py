@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.stats import WindowStats
 from repro.errors import ConfigurationError
 from repro.hw import (
     DEFAULT_POWER_MODEL,

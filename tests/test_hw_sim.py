@@ -7,7 +7,7 @@ import pytest
 from repro.data.stats import WindowStats
 from repro.errors import ConfigurationError
 from repro.hw import HardwareConfig, REFERENCE_WORKLOAD, window_latency_cycles
-from repro.hw.latency import CO_OBSERVATION, EVALUATE_LATENCY, cholesky_latency
+from repro.hw.latency import cholesky_latency
 from repro.hw.sim import (
     AcceleratorSim,
     JacobianPipeline,

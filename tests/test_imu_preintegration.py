@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, DataError
-from repro.geometry import SE3
 from repro.imu import GRAVITY, ImuNoise, ImuPreintegration
 from repro.data.trajectory import DroneTrajectory
 

@@ -1,6 +1,5 @@
 """Tests for M-DFG nodes, graph, cost models, builder, layout, schedule."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -19,7 +19,7 @@ from repro.obs import (
     spans_by,
     validate_chrome_trace,
 )
-from repro.obs.metrics import BIN_FLOOR_S, bin_upper_edge_s, metrics_layout
+from repro.obs.metrics import BIN_FLOOR_S, metrics_layout
 from repro.serve.telemetry import export_metrics
 
 

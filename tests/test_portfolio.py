@@ -17,7 +17,6 @@ The load-bearing properties:
 """
 
 import json
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest

@@ -5,10 +5,9 @@ import pytest
 
 from repro.data.stats import WindowStats
 from repro.errors import ConfigurationError
-from repro.hw import DEFAULT_POWER_MODEL, HardwareConfig
+from repro.hw import DEFAULT_POWER_MODEL
 from repro.runtime import (
     IterationTable,
-    ReconfigurationTable,
     RuntimeController,
     TwoBitSaturatingCounter,
     build_iteration_table,
@@ -16,7 +15,7 @@ from repro.runtime import (
     replay_windows,
 )
 from repro.runtime.profiler import MAX_ITERATIONS
-from repro.synth import DesignSpec, high_perf_design
+from repro.synth import high_perf_design
 
 
 def make_stats(features, am=20):

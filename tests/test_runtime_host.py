@@ -1,6 +1,5 @@
 """Tests for the host-FPGA interface model and the two CLIs."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError

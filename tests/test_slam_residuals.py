@@ -174,6 +174,13 @@ class TestImuFactor:
         eigvals = np.linalg.eigvalsh(lin.information)
         assert eigvals.min() > 0.0
 
+    def test_information_is_built_once_and_read_only(self):
+        factor, state_i, state_j = make_imu_setup(5)
+        information = factor.information()
+        assert factor.linearize(state_i, state_j).information is information
+        with pytest.raises(ValueError):
+            information[0, 0] = 0.0
+
 
 class TestPriorFactor:
     def test_contribution_at_linearization_point(self):

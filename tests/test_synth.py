@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, InfeasibleDesignError
-from repro.hw import DEFAULT_POWER_MODEL, DEFAULT_RESOURCE_MODEL, LatencyModel
+from repro.hw import DEFAULT_RESOURCE_MODEL
 from repro.hw.fpga import KINTEX7_160T, VIRTEX7_690T, ZC706
 from repro.synth import (
     DesignSpec,
@@ -20,7 +20,6 @@ from repro.synth import (
     pareto_frontier,
     perturb_and_validate,
     pruned_search,
-    synthesize,
 )
 
 
