@@ -19,6 +19,13 @@ from repro.errors import ConfigurationError
 from repro.geometry.camera import PinholeCamera
 from repro.geometry.se3 import SE3
 
+# Landmarks per grid cell if the field filled its bounding box evenly.
+_CELL_OCCUPANCY = 32
+# Slack of the culling test, relative to the largest coordinate in play.
+# Binning, the two transforms and the pixel test each round by a few ulp
+# (about 1e-15 relative), so this covers them many times over.
+_RELATIVE_SLACK = 1e-9
+
 
 @dataclass
 class TrackerConfig:
@@ -97,6 +104,10 @@ def project_landmarks(
 class FeatureTracker:
     """Stateful simulated tracker over a fixed landmark field.
 
+    The field is binned once into a uniform grid, and a keyframe projects
+    only the landmarks of cells that may meet the view frustum; the others
+    cannot be visible (docs/performance.md).
+
     Per keyframe it draws, in order: a drop uniform per continued track
     (in the tracked-and-visible set's iteration order), ``choice`` when the
     budget is short, then per observation in id order the outlier draws,
@@ -117,11 +128,63 @@ class FeatureTracker:
         self._rng = rng
         self._active: set[int] = set()
 
+        # Bin the finite landmarks; a non-finite one, never visible, gets
+        # cell index len(occupied), which no keyframe keeps. The bounding
+        # box holds about count / _CELL_OCCUPANCY cells (more for a flat
+        # field), so they are counted densely rather than sorted.
+        finite = np.isfinite(self.landmarks).all(axis=1)
+        points = self.landmarks[finite]
+        count = len(points)
+        lower = points.min(axis=0) if count else np.zeros(3)
+        extent = np.maximum(points.max(axis=0) - lower, 1.0) if count else np.ones(3)
+        edge = float(np.cbrt(np.prod(extent) * _CELL_OCCUPANCY / max(count, 1)))
+        cells = np.floor((points - lower) / edge).astype(np.int64)
+        span = cells.max(axis=0, initial=0) + 1
+        keys = np.ravel_multi_index(cells.T, span)
+        counts = np.bincount(keys, minlength=int(np.prod(span)))
+        occupied = np.flatnonzero(counts)
+        self._cell_of = np.full(len(self.landmarks), len(occupied))
+        self._cell_of[finite] = (np.cumsum(counts > 0) - 1)[keys]
+        occupied_cells = np.stack(np.unravel_index(occupied, span), axis=1)
+        self._cell_centres = lower + (occupied_cells + 0.5) * edge
+        self._cell_radius = 0.5 * np.sqrt(3.0) * edge
+        # Bounds every landmark and cell-centre coordinate, for the slack.
+        self._scale = float(np.abs(points).max(initial=0.0)) + edge
+        # Inward normals of the side planes, which pass through the camera
+        # centre: for z > 0, u >= 0 is fx x + cx z >= 0, and so on.
+        c = camera
+        normals = np.array(
+            [
+                [c.fx, 0.0, c.cx],  # u >= 0
+                [-c.fx, 0.0, c.width - c.cx],  # u < width
+                [0.0, c.fy, c.cy],  # v >= 0
+                [0.0, -c.fy, c.height - c.cy],  # v < height
+            ]
+        )
+        self._side_normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+
+    def _unculled_ids(self, pose: SE3) -> np.ndarray:
+        """Ascending ids of the landmarks in cells that may meet the view.
+
+        A cell is culled when its circumsphere, widened by the rounding
+        slack, lies wholly outside one half-space of the frustum: a side
+        plane or ``z >= min_depth``. ``pose.rotation`` must be a rotation,
+        so that distances survive the transform.
+        """
+        centres = pose.transform_to_body(self._cell_centres)
+        slack = _RELATIVE_SLACK * (self._scale + float(np.abs(pose.translation).max()))
+        reach = -(self._cell_radius + slack)
+        kept = (centres[:, 2] - self.camera.min_depth >= reach) & (
+            (centres @ self._side_normals.T).min(axis=1) >= reach
+        )
+        return np.flatnonzero(np.append(kept, False)[self._cell_of])
+
     def observe(self, frame_id: int, true_pose: SE3) -> FrameObservations:
         """Produce the noisy observations of one keyframe and update tracks."""
         config, rng = self.config, self._rng
-        projected, visible_ids = project_landmarks(self.camera, true_pose, self.landmarks)
-        visible = set(visible_ids.tolist())
+        unculled = self._unculled_ids(true_pose)
+        projected, rows = project_landmarks(self.camera, true_pose, self.landmarks[unculled])
+        visible = set(unculled[rows].tolist())
 
         # Continue existing tracks that remain visible (modulo drops). The
         # set's iteration order is the draw order, and survivors are added
@@ -139,7 +202,7 @@ class FeatureTracker:
             survivors.update(candidates.tolist())
 
         ids = np.array(sorted(survivors), dtype=np.int64)
-        pixels = projected[ids]
+        pixels = projected[np.searchsorted(unculled, ids)]
         if config.outlier_probability > 0.0:
             # Whether a feature's next two draws are uniforms (outlier)
             # or normals (noise) depends on its first draw.

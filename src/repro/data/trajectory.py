@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.geometry.so3 import so3_exp_batch, so3_log_batch
+from repro.geometry.so3 import _SMALL_ANGLE, so3_log_batch
 
 _DIFF_EPS = 1e-4
 
@@ -44,13 +44,50 @@ def row_blocks(count: int) -> Iterator[slice]:
         yield slice(start, min(start + BLOCK_ROWS, count))
 
 
+def _axis_terms(angle):
+    """The two terms ``so3_exp`` forms for a rotation of ``angle`` about an axis.
+
+    With one nonzero component, Rodrigues' formula reduces to the
+    cosine-like ``1 + b * (-angle**2)`` on the diagonal and the sine-like
+    ``a * angle`` off it; ``a`` and ``b`` are computed as ``so3_exp``
+    computes them.
+    """
+    theta = np.sqrt(angle * angle)
+    small = theta < _SMALL_ANGLE
+    safe = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0, np.sin(safe) / safe)
+    b = np.where(small, 0.5, (1.0 - np.cos(safe)) / (safe * safe))
+    return 1.0 + b * -(angle * angle), a * angle
+
+
 def _euler_rotation(yaw, pitch, roll) -> np.ndarray:
-    """``Rz(yaw) @ Ry(pitch) @ Rx(roll)`` for angles of one shape."""
-    zero = np.zeros_like(yaw)
-    rz = so3_exp_batch(np.stack([zero, zero, yaw], axis=-1))
-    ry = so3_exp_batch(np.stack([zero, pitch, zero], axis=-1))
-    rx = so3_exp_batch(np.stack([roll, zero, zero], axis=-1))
-    return np.matmul(np.matmul(rz, ry), rx)
+    """``Rz(yaw) @ Ry(pitch) @ Rx(roll)`` for angles of one shape.
+
+    Bit-identical to ``np.matmul`` over ``so3_exp`` factors. Each entry of
+    ``Rz @ Ry`` is one product plus exact zeros, so it is built element by
+    element; a matmul sums exact zeros to +0, which ``+ 0.0`` and
+    ``0.0 -`` reproduce. The entries of the product with ``Rx`` add two
+    products, so that product stays a matmul.
+    """
+    cz, sz = _axis_terms(yaw)
+    cy, sy = _axis_terms(pitch)
+    cx, sx = _axis_terms(roll)
+    rz_ry = np.zeros(np.shape(cz) + (3, 3))
+    rz_ry[..., 0, 0] = cz * cy + 0.0
+    rz_ry[..., 0, 1] = 0.0 - sz
+    rz_ry[..., 0, 2] = cz * sy + 0.0
+    rz_ry[..., 1, 0] = sz * cy + 0.0
+    rz_ry[..., 1, 1] = cz
+    rz_ry[..., 1, 2] = sz * sy + 0.0
+    rz_ry[..., 2, 0] = 0.0 - sy
+    rz_ry[..., 2, 2] = cy
+    rx = np.zeros_like(rz_ry)
+    rx[..., 0, 0] = 1.0
+    rx[..., 1, 1] = cx
+    rx[..., 1, 2] = 0.0 - sx
+    rx[..., 2, 1] = 0.0 + sx
+    rx[..., 2, 2] = cx
+    return np.matmul(rz_ry, rx)
 
 
 class _SmoothTrajectory:

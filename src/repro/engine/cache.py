@@ -121,7 +121,9 @@ class ArtifactCache:
             self.counters.record("misses")
             return None
         try:
-            with np.load(path) as data:
+            # np.load does not close a file it opened when the zip parse
+            # fails, so the handle is ours to close.
+            with open(path, "rb") as handle, np.load(handle) as data:
                 engine_meta = json.loads(bytes(np.asarray(data[_META_KEY])).decode())
                 if engine_meta.get("stage") != stage_name:
                     self.counters.record("misses")

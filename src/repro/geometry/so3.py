@@ -94,26 +94,6 @@ def _row_norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None])[:, 0, 0])
 
 
-def so3_exp_batch(omegas: np.ndarray) -> np.ndarray:
-    """Element-wise :func:`so3_exp`: ``(..., 3)`` vectors to ``(..., 3, 3)``.
-
-    Bit-identical to stacked :func:`so3_exp` calls: same arithmetic, with
-    the small-angle branch selected by mask.
-    """
-    omegas = np.asarray(omegas, dtype=float)
-    rows = omegas.reshape(-1, 3)
-    theta = _row_norms(rows)
-    small = theta < _SMALL_ANGLE
-    safe = np.where(small, 1.0, theta)
-    # 1.0 * skew is exactly skew, so the small-angle rows reduce to the
-    # scalar Taylor branch.
-    a = np.where(small, 1.0, np.sin(safe) / safe)[:, None, None]
-    b = np.where(small, 0.5, (1.0 - np.cos(safe)) / (safe * safe))[:, None, None]
-    skew = hat_batch(rows)
-    out = np.eye(3) + a * skew + b * np.matmul(skew, skew)
-    return out.reshape(omegas.shape[:-1] + (3, 3))
-
-
 def so3_log_batch(rotations: np.ndarray) -> np.ndarray:
     """Element-wise :func:`so3_log`: ``(..., 3, 3)`` rotations to ``(..., 3)``.
 

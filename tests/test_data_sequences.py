@@ -19,11 +19,16 @@ from repro.data import (
 from repro.data.io import sequence_to_arrays
 from repro.data.landmarks import density_profile
 from repro.data.sequences import ImuSegment, Sequence, _make_trajectory
-from repro.data.tracks import FeatureTracker, FrameObservations, TrackerConfig
+from repro.data.tracks import (
+    FeatureTracker,
+    FrameObservations,
+    TrackerConfig,
+    project_landmarks,
+)
 from repro.geometry.camera import PinholeCamera
 from repro.geometry.navstate import NavState
 from repro.geometry.se3 import SE3
-from repro.geometry.so3 import so3_exp
+from repro.geometry.so3 import random_rotation, so3_exp
 from repro.imu.noise import ImuNoise
 from repro.imu.preintegration import GRAVITY
 from repro.scenarios.builders import scenario_sequence_config
@@ -333,3 +338,180 @@ def test_tracker_matches_per_feature_reference(config, num_landmarks, num_frames
             assert a.tobytes() == e.tobytes(), name
         assert list(batched._active) == list(reference._active)
     assert batched._rng.bit_generator.state == reference._rng.bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# Frustum culling: a keyframe projects only the landmarks of grid cells
+# that may meet the view, and must find what projecting the whole field
+# finds.
+
+
+def _assert_culling_exact(tracker, pose):
+    """The unculled rows give the whole field's visible ids and pixel bytes."""
+    unculled = tracker._unculled_ids(pose)
+    assert np.all(np.diff(unculled) > 0)
+    with np.errstate(invalid="ignore"):
+        pixels, rows = project_landmarks(tracker.camera, pose, tracker.landmarks[unculled])
+        field_pixels, visible = project_landmarks(tracker.camera, pose, tracker.landmarks)
+    assert unculled[rows].tobytes() == visible.tobytes()
+    assert pixels[rows].tobytes() == field_pixels[visible].tobytes()
+    return unculled, visible
+
+
+def _random_field(shape, count, rng):
+    if shape == "box":
+        extent = rng.uniform(0.01, 200.0, size=3)
+        return rng.uniform(-extent, extent, size=(count, 3)) + rng.normal(scale=100.0, size=3)
+    if shape == "clusters":
+        centres = rng.uniform(-50.0, 50.0, size=(rng.integers(1, 6), 3))
+        spread = rng.uniform(1e-3, 0.5)
+        return centres[rng.integers(len(centres), size=count)] + rng.normal(
+            scale=spread, size=(count, 3)
+        )
+    # A long sparse strip, like a few landmarks along a road.
+    return np.stack(
+        [
+            rng.uniform(0.0, 2000.0, size=count),
+            rng.normal(scale=3.0, size=count),
+            rng.normal(scale=1.0, size=count),
+        ],
+        axis=1,
+    )
+
+
+def _random_pose(landmarks, rng):
+    """A uniformly random rotation, or one looking at a landmark, near the field."""
+    target = landmarks[rng.integers(len(landmarks))] if len(landmarks) else np.zeros(3)
+    position = target + rng.normal(scale=rng.choice([0.2, 5.0, 60.0]), size=3)
+    if rng.uniform() < 0.5:
+        return SE3(random_rotation(rng), position)
+    forward = target - position
+    forward /= np.linalg.norm(forward)
+    right = np.cross(rng.normal(size=3), forward)
+    right /= np.linalg.norm(right)
+    look = np.stack([right, np.cross(forward, right), forward], axis=1)
+    return SE3(look @ so3_exp(rng.normal(scale=0.5, size=3)), position)
+
+
+_CAMERAS = st.one_of(
+    st.just(PinholeCamera()),
+    st.builds(
+        PinholeCamera,
+        fx=st.floats(50.0, 2000.0),
+        fy=st.floats(50.0, 2000.0),
+        cx=st.floats(-100.0, 900.0),
+        cy=st.floats(-100.0, 600.0),
+        width=st.integers(1, 1280),
+        height=st.integers(1, 960),
+        min_depth=st.floats(1e-3, 5.0),
+    ),
+)
+
+
+@given(
+    camera=_CAMERAS,
+    shape=st.sampled_from(["box", "clusters", "strip"]),
+    count=st.integers(min_value=0, max_value=400),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(camera=PinholeCamera(), shape="box", count=0, seed=1)
+@example(camera=PinholeCamera(), shape="box", count=1, seed=2)
+@example(camera=PinholeCamera(), shape="clusters", count=1, seed=3)
+@settings(max_examples=60, deadline=None)
+def test_culled_tracker_matches_whole_field_projection(camera, shape, count, seed):
+    rng = np.random.default_rng(seed)
+    landmarks = _random_field(shape, count, rng)
+    tracker = FeatureTracker(camera, landmarks, TrackerConfig(), np.random.default_rng(0))
+    for _ in range(6):
+        _assert_culling_exact(tracker, _random_pose(landmarks, rng))
+
+
+def _camera_points(camera, pixels, depth):
+    """Camera-frame points that project to ``pixels`` at ``depth``."""
+    u, v = np.asarray(pixels, dtype=float).T
+    x = (u - camera.cx) * depth / camera.fx
+    y = (v - camera.cy) * depth / camera.fy
+    return np.stack([x, y, np.full_like(u, depth)], axis=1)
+
+
+def test_culling_keeps_landmarks_on_the_image_border():
+    """Landmarks on the four border rays and at ``z = min_depth``, where
+    rounding decides visibility, come out as the whole field has them."""
+    camera = PinholeCamera()
+    width, height = camera.width, camera.height
+    along = np.linspace(0.0, 1.0, 9)
+    border_pixels = np.concatenate(
+        [
+            np.stack([np.zeros_like(along), along * height], axis=1),  # u = 0
+            np.stack([np.full_like(along, np.nextafter(width, 0.0)), along * height], axis=1),
+            np.stack([along * width, np.zeros_like(along)], axis=1),  # v = 0
+            np.stack([along * width, np.full_like(along, np.nextafter(height, 0.0))], axis=1),
+            np.stack([along * width, along * height], axis=1),  # a diagonal, inside
+        ]
+    )
+    depths = [camera.min_depth, 0.3, 1.0, 4.0, 25.0, 150.0]
+    points_c = np.concatenate([_camera_points(camera, border_pixels, z) for z in depths])
+    pose = SE3(so3_exp(np.array([0.2, -0.4, 0.1])), np.array([3.0, -2.0, 1.0]))
+    rng = np.random.default_rng(7)
+    filler = rng.uniform((-60.0, -40.0, -5.0), (60.0, 40.0, 160.0), size=(3000, 3))
+    landmarks = pose.transform(np.concatenate([filler, points_c]))
+    tracker = FeatureTracker(camera, landmarks, TrackerConfig(), np.random.default_rng(0))
+    for nudge in (0.0, 1e-12, -1e-9):
+        nudged = SE3(pose.rotation @ so3_exp(np.full(3, nudge)), pose.translation + nudge)
+        _, visible = _assert_culling_exact(tracker, nudged)
+        assert np.any(visible >= len(filler))
+
+
+def test_culling_keeps_landmarks_on_cell_boundaries():
+    """27 * 32 landmarks filling a 3 m cube make unit cells, so the lattice
+    points at half-metre steps sit on cell faces, edges and corners."""
+    rng = np.random.default_rng(11)
+    steps = np.arange(0.0, 3.25, 0.5)
+    lattice = np.stack(np.meshgrid(steps, steps, steps, indexing="ij"), axis=-1).reshape(-1, 3)
+    filler = rng.uniform(0.0, 3.0, size=(27 * 32 - len(lattice), 3))
+    landmarks = np.concatenate([lattice, filler])
+    tracker = FeatureTracker(PinholeCamera(), landmarks, TrackerConfig(), np.random.default_rng(0))
+    assert tracker._cell_radius == 0.5 * np.sqrt(3.0)
+    for _ in range(40):
+        _assert_culling_exact(tracker, _random_pose(lattice, rng))
+
+
+def test_culling_keeps_non_finite_landmarks_invisible():
+    rng = np.random.default_rng(5)
+    landmarks = rng.uniform((-8.0, -6.0, 0.0), (8.0, 6.0, 30.0), size=(600, 3))
+    bad = rng.choice(len(landmarks), size=30, replace=False)
+    landmarks[bad, rng.integers(3, size=30)] = rng.choice([np.nan, np.inf, -np.inf], size=30)
+    tracker = FeatureTracker(PinholeCamera(), landmarks, TrackerConfig(), np.random.default_rng(0))
+    seen = 0
+    for _ in range(20):
+        unculled, visible = _assert_culling_exact(tracker, _random_pose(landmarks, rng))
+        assert not np.isin(bad, unculled).any()
+        seen += len(visible)
+    assert seen > 0
+
+
+@pytest.mark.parametrize("side", ["u < 0", "u >= width", "v < 0", "v >= height", "z < min_depth"])
+def test_culling_drops_cells_outside_the_frustum(side):
+    """A cluster beyond one border by more than its cell's radius is never
+    projected; a cluster in the middle of the view always is. Each outer
+    cluster sits nearer the border than the principal point's offset, so
+    a plane through ``width`` or ``height`` instead of ``width - cx`` or
+    ``height - cy`` would keep it."""
+    camera = PinholeCamera(min_depth=30.0) if side == "z < min_depth" else PinholeCamera()
+    cx, cy, width, height = camera.cx, camera.cy, camera.width, camera.height
+    pixel, depth = {
+        "u < 0": ((-0.5 * cx, cy), 40.0),
+        "u >= width": ((width + 0.5 * cx, cy), 40.0),
+        "v < 0": ((cx, -0.5 * cy), 40.0),
+        "v >= height": ((cx, height + 0.5 * cy), 40.0),
+        "z < min_depth": ((cx, cy), 10.0),
+    }[side]
+    rng = np.random.default_rng(3)
+    inside = _camera_points(camera, [(cx, cy)], 40.0) + rng.normal(scale=0.05, size=(500, 3))
+    outside = _camera_points(camera, [pixel], depth) + rng.normal(scale=0.05, size=(500, 3))
+    pose = SE3(so3_exp(np.array([0.1, 0.3, -0.2])), np.array([5.0, -1.0, 2.0]))
+    landmarks = pose.transform(np.concatenate([inside, outside]))
+    tracker = FeatureTracker(camera, landmarks, TrackerConfig(), np.random.default_rng(0))
+    unculled, visible = _assert_culling_exact(tracker, pose)
+    assert np.array_equal(visible, np.arange(len(inside)))
+    assert not np.any(unculled >= len(inside))

@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data.landmarks import density_profile, make_landmarks
-from repro.data.trajectory import CarTrajectory, DroneTrajectory
+from repro.data.trajectory import CarTrajectory, DroneTrajectory, _euler_rotation
 from repro.errors import ConfigurationError
-from repro.geometry.so3 import so3_exp, so3_exp_batch, so3_log, so3_log_batch
+from repro.geometry.so3 import so3_exp, so3_log, so3_log_batch
 
 # Query times: t = 0, the car's quadrature grid points (multiples of
 # 0.01 s), arbitrary floats including negative ones, in any order.
@@ -72,8 +72,7 @@ class TestSo3Batch:
     @settings(max_examples=60, deadline=None)
     def test_exp_and_log_match_scalar(self, pairs):
         omegas = np.array([np.array(axis) / np.linalg.norm(axis) * angle for axis, angle in pairs])
-        rotations = so3_exp_batch(omegas)
-        assert rotations.tobytes() == np.stack([so3_exp(w) for w in omegas]).tobytes()
+        rotations = np.stack([so3_exp(w) for w in omegas])
         logs = so3_log_batch(rotations)
         assert logs.tobytes() == np.stack([so3_log(r) for r in rotations]).tobytes()
 
@@ -89,6 +88,57 @@ class TestSo3Batch:
         stacked = np.stack([so3_log(r) for r in rotations])
         assert so3_log_batch(rotations).tobytes() == stacked.tobytes()
         assert so3_log_batch(rotations.reshape(2, 2, 3, 3)).shape == (2, 2, 3)
+
+
+# Per-axis angles: zero, so3_exp's small-angle branch, both sides of its
+# 1e-8 threshold, generic angles, and angles past pi, where sin(theta) / theta
+# turns negative.
+_THRESHOLD = 1e-8
+_EULER_ANGLES = st.one_of(
+    st.sampled_from(
+        [
+            0.0,
+            -0.0,
+            1e-12,
+            -1e-12,
+            np.nextafter(_THRESHOLD, 0.0),
+            -np.nextafter(_THRESHOLD, 0.0),
+            _THRESHOLD,
+            -_THRESHOLD,
+            np.nextafter(_THRESHOLD, 1.0),
+            -np.nextafter(_THRESHOLD, 1.0),
+        ]
+    ),
+    st.floats(min_value=-np.pi, max_value=np.pi),
+    st.floats(min_value=np.pi, max_value=40.0).flatmap(lambda a: st.sampled_from([a, -a])),
+)
+
+
+def _axis_factors(yaw, pitch, roll):
+    """``Rz``, ``Ry`` and ``Rx`` from scalar ``so3_exp`` calls."""
+    return (
+        so3_exp(np.array([0.0, 0.0, yaw])),
+        so3_exp(np.array([0.0, pitch, 0.0])),
+        so3_exp(np.array([roll, 0.0, 0.0])),
+    )
+
+
+class TestEulerRotation:
+    """The per-axis terms give the bytes of the so3_exp factors' matmuls."""
+
+    @given(st.lists(st.tuples(*[_EULER_ANGLES] * 3), min_size=1, max_size=12))
+    @example([(0.0, 0.0, 0.0), (2.5, 0.0, -0.0), (-3.0, 1e-12, 4.0), (7.0, -2.0, 0.0)])
+    @settings(max_examples=100, deadline=None)
+    def test_matches_so3_exp_factors(self, triples):
+        factors = [np.stack(f) for f in zip(*(_axis_factors(*angles) for angles in triples))]
+        yaw, pitch, roll = np.array(triples).T
+        expected = np.matmul(np.matmul(factors[0], factors[1]), factors[2])
+        assert _euler_rotation(yaw, pitch, roll).tobytes() == expected.tobytes()
+        for angles in triples:
+            rz, ry, rx = _axis_factors(*angles)
+            expected = np.matmul(np.matmul(rz, ry), rx)
+            for scalar in (angles, np.array(angles)):
+                assert _euler_rotation(*scalar).tobytes() == expected.tobytes()
 
 
 class TestDroneTrajectory:

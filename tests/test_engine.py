@@ -7,6 +7,7 @@ key the moment any request field changes.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,7 +249,7 @@ class TestRegistryIntegration:
     def test_common_has_no_lru_cache(self):
         import repro.experiments.common as common
 
-        assert "lru_cache" not in open(common.__file__).read()
+        assert "lru_cache" not in Path(common.__file__).read_text()
 
     def test_stats_line_mentions_cache(self, tmp_path):
         engine = Engine(cache_dir=tmp_path, use_disk=True)
