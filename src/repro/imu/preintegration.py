@@ -75,38 +75,79 @@ class ImuPreintegration:
             gyro_sigma / accel_sigma: discrete per-sample noise stds used
                 for covariance propagation (0 disables propagation).
         """
+        self.integrate_segment(
+            np.reshape(gyro, (1, 3)),
+            np.reshape(accel, (1, 3)),
+            dt,
+            gyro_sigma,
+            accel_sigma,
+        )
+
+    def integrate_segment(
+        self,
+        gyro: np.ndarray,
+        accel: np.ndarray,
+        dt: float,
+        gyro_sigma: float = 0.0,
+        accel_sigma: float = 0.0,
+    ) -> None:
+        """Fold ``n`` samples of one uniform-rate segment, in order.
+
+        ``gyro`` and ``accel`` are ``(n, 3)``; the other arguments are
+        :meth:`integrate`'s. The result equals ``n`` calls of
+        :meth:`integrate` bit for bit: the arithmetic per sample is the
+        same, and only what is constant across the segment — the
+        ``dt * I`` blocks, the transition's identity seed and the noise
+        covariance — is built once. The transition and noise-map buffers
+        are reused, since every block of them that varies is rewritten
+        at each sample.
+        """
         if dt <= 0.0:
             raise DataError(f"IMU sample interval must be positive, got {dt}")
-        gyro = np.asarray(gyro, dtype=float).reshape(3) - self.bias_gyro_ref
-        accel = np.asarray(accel, dtype=float).reshape(3) - self.bias_accel_ref
+        dt_eye = dt * np.eye(3)
+        propagate = gyro_sigma > 0.0 or accel_sigma > 0.0
+        if propagate:
+            transition = np.eye(9)
+            transition[0:3, 6:9] = dt_eye
+            noise_map = np.zeros((9, 6))
+            noise_map[3:6, 0:3] = dt_eye
+            noise_cov = np.diag([gyro_sigma**2] * 3 + [accel_sigma**2] * 3)
 
-        gamma_old = self.gamma
-        rotated_accel = gamma_old @ accel
-        delta_rot = so3_exp(gyro * dt)
+        for gyro_sample, accel_sample in zip(gyro, accel):
+            gyro_sample = np.asarray(gyro_sample, dtype=float) - self.bias_gyro_ref
+            accel_sample = np.asarray(accel_sample, dtype=float) - self.bias_accel_ref
 
-        # First-order state propagation (Euler step on the deltas).
-        self.alpha = self.alpha + self.beta * dt + 0.5 * rotated_accel * dt * dt
-        self.beta = self.beta + rotated_accel * dt
-        self.gamma = gamma_old @ delta_rot
-        self.dt_total += dt
-        self.num_samples += 1
+            gamma_old = self.gamma
+            rotated_accel = gamma_old @ accel_sample
+            delta_rot = so3_exp(gyro_sample * dt)
 
-        # Bias Jacobian propagation (first order, same discretization).
-        accel_skew = hat(accel)
-        self.jac_alpha_bg = (
-            self.jac_alpha_bg
-            + self.jac_beta_bg * dt
-            - 0.5 * dt * dt * gamma_old @ accel_skew @ self.jac_gamma_bg
-        )
-        self.jac_alpha_ba = self.jac_alpha_ba + self.jac_beta_ba * dt - 0.5 * dt * dt * gamma_old
-        self.jac_beta_bg = self.jac_beta_bg - dt * gamma_old @ accel_skew @ self.jac_gamma_bg
-        self.jac_beta_ba = self.jac_beta_ba - dt * gamma_old
-        self.jac_gamma_bg = delta_rot.T @ self.jac_gamma_bg - dt * np.eye(3)
+            # First-order state propagation (Euler step on the deltas).
+            self.alpha = self.alpha + self.beta * dt + 0.5 * rotated_accel * dt * dt
+            self.beta = self.beta + rotated_accel * dt
+            self.gamma = gamma_old @ delta_rot
+            self.dt_total += dt
+            self.num_samples += 1
 
-        if gyro_sigma > 0.0 or accel_sigma > 0.0:
-            self._propagate_covariance(
-                gamma_old, accel_skew, delta_rot, dt, gyro_sigma, accel_sigma
+            # Bias Jacobian propagation (first order, same discretization).
+            accel_skew = hat(accel_sample)
+            self.jac_alpha_bg = (
+                self.jac_alpha_bg
+                + self.jac_beta_bg * dt
+                - 0.5 * dt * dt * gamma_old @ accel_skew @ self.jac_gamma_bg
             )
+            self.jac_alpha_ba = (
+                self.jac_alpha_ba + self.jac_beta_ba * dt - 0.5 * dt * dt * gamma_old
+            )
+            self.jac_beta_bg = (
+                self.jac_beta_bg - dt * gamma_old @ accel_skew @ self.jac_gamma_bg
+            )
+            self.jac_beta_ba = self.jac_beta_ba - dt * gamma_old
+            self.jac_gamma_bg = delta_rot.T @ self.jac_gamma_bg - dt_eye
+
+            if propagate:
+                self._propagate_covariance(
+                    gamma_old, accel_skew, delta_rot, dt, transition, noise_map, noise_cov
+                )
 
     def _propagate_covariance(
         self,
@@ -114,24 +155,22 @@ class ImuPreintegration:
         accel_skew: np.ndarray,
         delta_rot: np.ndarray,
         dt: float,
-        gyro_sigma: float,
-        accel_sigma: float,
+        transition: np.ndarray,
+        noise_map: np.ndarray,
+        noise_cov: np.ndarray,
     ) -> None:
-        """Propagate the 9x9 (alpha, theta, beta) covariance one step."""
-        transition = np.eye(9)
+        """Propagate the 9x9 (alpha, theta, beta) covariance one step.
+
+        ``transition`` and ``noise_map`` arrive holding their constant
+        blocks (:meth:`integrate_segment`); this writes the rest.
+        """
         transition[0:3, 3:6] = -0.5 * dt * dt * gamma_old @ accel_skew
-        transition[0:3, 6:9] = dt * np.eye(3)
         transition[3:6, 3:6] = delta_rot.T
         transition[6:9, 3:6] = -dt * gamma_old @ accel_skew
 
-        noise_map = np.zeros((9, 6))
         noise_map[0:3, 3:6] = 0.5 * dt * dt * gamma_old
-        noise_map[3:6, 0:3] = dt * np.eye(3)
         noise_map[6:9, 3:6] = dt * gamma_old
 
-        noise_cov = np.diag(
-            [gyro_sigma**2] * 3 + [accel_sigma**2] * 3
-        )
         self.covariance = (
             transition @ self.covariance @ transition.T
             + noise_map @ noise_cov @ noise_map.T

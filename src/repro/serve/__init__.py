@@ -48,6 +48,7 @@ from repro.serve.scheduler import Admission, Scheduler
 from repro.serve.service import LocalizationService, ServeReport, run_profile
 from repro.serve.session import (
     Session,
+    SessionEstimator,
     SessionState,
     WindowOutcome,
     WindowRequest,
@@ -80,6 +81,7 @@ __all__ = [
     "ServeReport",
     "ServiceCharge",
     "Session",
+    "SessionEstimator",
     "SessionMetrics",
     "SessionState",
     "ShardSpec",

@@ -13,10 +13,22 @@ implementations share one seam:
   method) with deterministic session affinity: session ``sid`` always
   executes on worker ``sid % workers``, and commands travel a FIFO pipe,
   so every session's estimator steps apply in exactly the event-loop
-  order. Workers inherit the fully built sessions at fork time and own
-  their estimator state from then on; the parent keeps only the
-  state machines, controllers, and telemetry. This is what lets one
-  shard — or a fleet of shards — use all host cores for real.
+  order. This is what lets one shard — or a fleet of shards — use all
+  host cores for real.
+
+Ownership: the service builds each session in two parts — an
+event-loop :class:`~repro.serve.session.Session` view it keeps, and a
+:class:`~repro.serve.session.SessionEstimator` (recording, bootstrapped
+estimator, run result) it passes to ``start`` and drops. The backend is
+then the estimators' only owner. The thread backend keeps them
+in-process; the process backend's workers inherit them at fork time,
+and the parent keeps no reference (a started ``multiprocessing.Process``
+drops its arguments). The service also lets go of its engine, and with
+it the engine's memo of the recordings, as ``prepare`` ends, so the
+serving parent holds only the views, controllers, and telemetry. The
+flip side: the parent has no fork-time copy of a worker's sessions, so
+respawning a dead worker means rebuilding its sessions, not re-forking
+them.
 
 Determinism contract: batch composition, admission, and all virtual-time
 accounting stay in the single-threaded event loop. A backend only
@@ -32,7 +44,7 @@ import multiprocessing
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import ConfigurationError, ReproError, ServeError
-from repro.serve.session import Session, WindowOutcome, WindowRequest
+from repro.serve.session import SessionEstimator, WindowOutcome, WindowRequest
 
 BACKENDS = ("thread", "process")
 
@@ -40,7 +52,9 @@ BACKENDS = ("thread", "process")
 _CMD_SHED, _CMD_RUN, _CMD_STOP = "shed", "run", "stop"
 
 
-def execute_session_step(session: Session, request: WindowRequest) -> WindowOutcome:
+def execute_session_step(
+    estimator: SessionEstimator, request: WindowRequest
+) -> WindowOutcome:
     """Run one window optimization and reduce it to a picklable outcome.
 
     Typed solver errors become error outcomes (the serving tier treats
@@ -48,7 +62,7 @@ def execute_session_step(session: Session, request: WindowRequest) -> WindowOutc
     genuine bug and propagates.
     """
     try:
-        return WindowOutcome.from_result(request, session.execute(request))
+        return WindowOutcome.from_result(request, estimator.execute(request))
     except ReproError as error:
         return WindowOutcome.from_error(request, error)
 
@@ -62,15 +76,15 @@ class ThreadBackend:
         if workers < 1:
             raise ConfigurationError("thread backend needs >= 1 worker")
         self.workers = workers
-        self._sessions: dict[int, Session] = {}
+        self._estimators: dict[int, SessionEstimator] = {}
         self._executor: ThreadPoolExecutor | None = None
 
-    def start(self, sessions: dict[int, Session]) -> None:
-        self._sessions = sessions
+    def start(self, estimators: dict[int, SessionEstimator]) -> None:
+        self._estimators = estimators
         self._executor = ThreadPoolExecutor(max_workers=self.workers)
 
     def shed(self, session_id: int, frame_id: int) -> None:
-        self._sessions[session_id].shed(frame_id)
+        self._estimators[session_id].shed(frame_id)
 
     def run_jobs(self, jobs: list[WindowRequest]) -> list[WindowOutcome]:
         if self._executor is None:
@@ -78,7 +92,7 @@ class ThreadBackend:
         return list(
             self._executor.map(
                 lambda request: execute_session_step(
-                    self._sessions[request.session_id], request
+                    self._estimators[request.session_id], request
                 ),
                 jobs,
             )
@@ -90,17 +104,19 @@ class ThreadBackend:
             self._executor = None
 
 
-def _worker_loop(conn, parent_ends, sessions: dict[int, Session]) -> None:
-    """Body of one forked worker: owns a subset of sessions until told to
-    stop or until its parent goes away.
+def _worker_loop(
+    conn, parent_ends, estimators: dict[int, SessionEstimator]
+) -> None:
+    """Body of one forked worker: owns a subset of session estimators
+    until told to stop or until its parent goes away.
 
-    The ``fork`` start method hands the built sessions over by memory
-    inheritance (no pickling of estimator state); from then on the
-    worker's copies are the live ones. Commands arrive on a FIFO pipe
-    and are served strictly in order — which is what makes per-session
-    estimator steps apply in exactly the event-loop order. A command
-    that raises is answered with the exception's type and message, so
-    the parent's :class:`ServeError` names the cause.
+    The ``fork`` start method hands the built estimators over by memory
+    inheritance (no pickling of estimator state); the parent keeps no
+    reference, so the worker's copies are the only ones. Commands arrive
+    on a FIFO pipe and are served strictly in order — which is what
+    makes per-session estimator steps apply in exactly the event-loop
+    order. A command that raises is answered with the exception's type
+    and message, so the parent's :class:`ServeError` names the cause.
 
     The fork also copies the parent's ends of this backend's pipes, and
     a copy held here would keep the worker's own pipe open forever; the
@@ -124,7 +140,7 @@ def _worker_loop(conn, parent_ends, sessions: dict[int, Session]) -> None:
             if kind == _CMD_SHED:
                 _, session_id, frame_id = message
                 try:
-                    sessions[session_id].shed(frame_id)
+                    estimators[session_id].shed(frame_id)
                     conn.send(("ok", None))
                 except Exception as error:  # noqa: BLE001 — crosses a process
                     conn.send(("error", f"{type(error).__name__}: {error}"))
@@ -132,7 +148,7 @@ def _worker_loop(conn, parent_ends, sessions: dict[int, Session]) -> None:
                 _, requests = message
                 try:
                     outcomes = [
-                        execute_session_step(sessions[request.session_id], request)
+                        execute_session_step(estimators[request.session_id], request)
                         for request in requests
                     ]
                 except Exception as error:  # noqa: BLE001 — crosses a process
@@ -152,8 +168,8 @@ class ProcessBackend:
     is a pure function of the session id, so it is identical across
     runs, across worker counts that divide the same way, and across the
     fleet/standalone split. After fork the *worker's* copy of a session
-    is the live one: the parent must route every estimator-mutating step
-    (execute *and* shed) through this backend.
+    estimator is the only one: the parent must route every
+    estimator-mutating step (execute *and* shed) through this backend.
     """
 
     name = "process"
@@ -174,10 +190,10 @@ class ProcessBackend:
     def _worker_of(self, session_id: int) -> int:
         return session_id % self.workers
 
-    def start(self, sessions: dict[int, Session]) -> None:
+    def start(self, estimators: dict[int, SessionEstimator]) -> None:
         context = multiprocessing.get_context("fork")
         self._owned = [[] for _ in range(self.workers)]
-        for sid in sorted(sessions):
+        for sid in sorted(estimators):
             self._owned[self._worker_of(sid)].append(sid)
         for owned in self._owned:
             parent_conn, child_conn = context.Pipe()
@@ -186,7 +202,7 @@ class ProcessBackend:
                 args=(
                     child_conn,
                     [*self._pipes, parent_conn],
-                    {sid: sessions[sid] for sid in owned},
+                    {sid: estimators[sid] for sid in owned},
                 ),
                 daemon=True,
             )

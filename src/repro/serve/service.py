@@ -51,7 +51,12 @@ from repro.serve.loadgen import (
     session_sequence_config,
 )
 from repro.serve.scheduler import Admission, Scheduler
-from repro.serve.session import Session, SessionState, WindowRequest
+from repro.serve.session import (
+    Session,
+    SessionEstimator,
+    SessionState,
+    WindowRequest,
+)
 from repro.serve.telemetry import (
     METRICS_SCHEMA_VERSION,
     SessionMetrics,
@@ -183,7 +188,12 @@ class LocalizationService:
     # Setup
     # ------------------------------------------------------------------
 
-    def _build(self) -> None:
+    def _build(self) -> dict[int, SessionEstimator]:
+        """Build the event loop's state and each session's estimator.
+
+        The views, controllers, pool, scheduler and telemetry stay on the
+        service; the returned estimators are for the backend alone.
+        """
         profile = self.profile
         design = named_design(profile.design, self.engine)
         reconfig = design_reconfiguration(profile.design, self.engine)
@@ -244,15 +254,21 @@ class LocalizationService:
         self._drift_counts: dict[int, int] = {}
 
         self.sessions: dict[int, Session] = {}
+        estimators: dict[int, SessionEstimator] = {}
         for sid in self.session_ids:
             sequence = self.engine.run(
                 SEQUENCE, session_sequence_config(profile, sid)
             )
+            estimators[sid] = SessionEstimator(
+                session_id=sid, sequence=sequence, window_size=profile.window_size
+            )
             self.sessions[sid] = Session(
                 session_id=sid,
-                sequence=sequence,
                 controller=prototype.for_session(),
-                window_size=profile.window_size,
+                feature_counts=tuple(
+                    frame.num_features for frame in sequence.observations
+                ),
+                recording=sequence.config.name,
             )
 
         self.pool: list[AcceleratorInstance] = make_pool(
@@ -279,9 +295,7 @@ class LocalizationService:
             trace_name = f"{trace_name}:shard{self.shard_id}"
         self.trace = Trace(clock=CLOCK_VIRTUAL, name=trace_name)
         for session in self.sessions.values():
-            self.telemetry.session(
-                session.session_id, session.sequence.config.name
-            )
+            self.telemetry.session(session.session_id, session.recording)
 
         if profile.arrival == "poisson":
             for session in self.sessions.values():
@@ -297,6 +311,7 @@ class LocalizationService:
                         _ARRIVAL,
                         session.session_id,
                     )
+        return estimators
 
     def _push_event(self, t: float, kind: str, payload: int) -> None:
         self._event_seq += 1
@@ -313,18 +328,32 @@ class LocalizationService:
         can fork process workers from the main thread (before shard event
         loops start on threads) — forking from a threaded process is a
         footgun.
+
+        The run phase fetches no artifact, so the engine's part ends
+        here: its cache numbers and stats line are read, and the service
+        lets go of it. A fleet shard's private engine, and its memo of
+        the shard's recordings, is then freed before the next shard
+        synthesizes and forks.
         """
         if self._prepared:
             return
         prep_started = time.perf_counter()
-        self._memo_before = self.engine.stats.memory_hits
-        self._distinct_before = (
-            self.engine.stats.computed + self.engine.stats.disk_hits
-        )
-        self._build()
+        stats = self.engine.stats
+        memo_before = stats.memory_hits
+        distinct_before = stats.computed + stats.disk_hits
+        estimators = self._build()
         workers = self.workers if self.workers is not None else len(self.pool)
         self._backend = make_backend(self.backend_name, max(1, workers))
-        self._backend.start(self.sessions)
+        self._backend.start(estimators)
+        # Only run-invariant cache numbers belong in the metrics: blob-level
+        # disk counters depend on whether a previous run warmed the cache,
+        # and SERVE_METRICS.json must be byte-identical across repeats.
+        self._cache = {
+            "memo_hits": stats.memory_hits - memo_before,
+            "distinct_artifacts": stats.computed + stats.disk_hits - distinct_before,
+        }
+        self._cache_line = self.engine.stats_line()
+        self.engine = None
         self.prepare_seconds = time.perf_counter() - prep_started
         self._prepared = True
 
@@ -370,17 +399,10 @@ class LocalizationService:
                 f"queue depth {len(self.scheduler)}"
             )
         wall = time.perf_counter() - started
-        metrics = self._metrics(
-            memo_hits=self.engine.stats.memory_hits - self._memo_before,
-            distinct_artifacts=(
-                self.engine.stats.computed + self.engine.stats.disk_hits
-            )
-            - self._distinct_before,
-        )
         return ServeReport(
             profile=self.profile,
-            metrics=metrics,
-            cache_line=self.engine.stats_line(),
+            metrics=self._metrics(),
+            cache_line=self._cache_line,
             wall_seconds=wall + self.prepare_seconds,
             trace=self.trace,
             prepare_seconds=self.prepare_seconds,
@@ -427,8 +449,8 @@ class LocalizationService:
         """Drop one frame unserved and count it.
 
         Sheds are estimator-mutating steps, so they route through the
-        execution backend like served windows do: under the process
-        backend the worker's session copy is the live one.
+        execution backend like served windows do: the backend owns the
+        session estimators.
         """
         self._backend.shed(session.session_id, frame_id)
         self.scheduler.record_shed()
@@ -794,7 +816,7 @@ class LocalizationService:
     # Metrics assembly
     # ------------------------------------------------------------------
 
-    def _metrics(self, memo_hits: int, distinct_artifacts: int) -> dict:
+    def _metrics(self) -> dict:
         metrics = self.telemetry.as_dict()
         horizon = self.telemetry.end_time_s
         metrics["schema"] = METRICS_SCHEMA_VERSION
@@ -838,13 +860,7 @@ class LocalizationService:
             "session_ids": list(self.session_ids),
             "num_sessions": len(self.session_ids),
         }
-        # Only run-invariant cache numbers belong here: blob-level disk
-        # counters depend on whether a previous run warmed the cache, and
-        # SERVE_METRICS.json must be byte-identical across repeats.
-        metrics["cache"] = {
-            "memo_hits": memo_hits,
-            "distinct_artifacts": distinct_artifacts,
-        }
+        metrics["cache"] = dict(self._cache)
         return metrics
 
 

@@ -1,24 +1,36 @@
-"""One robot's serving session: estimator + runtime controller + backlog.
+"""One robot's serving session, split where the process boundary falls.
 
-A :class:`Session` is a small state machine::
+The event loop's view, :class:`Session`, is a small state machine::
 
     WAITING --arrival--> READY --dispatch--> INFLIGHT --completion--> ...
        \\                   |                                        /
         \\                  +--(shed)--> WAITING <------------------+
          +--frames exhausted--> DRAINED
 
-It owns the per-robot mutable state: a :class:`SlidingWindowEstimator`
-fed keyframe by keyframe, a per-session :class:`RuntimeController`
-(fresh 2-bit counter; the iteration and reconfiguration tables are
-shared read-only across the fleet — see the controller's concurrency
-contract), and the pending backlog of arrived-but-not-yet-submitted
-windows.
+It holds only what admission, dispatch and telemetry read: the session
+id, a per-session :class:`RuntimeController` (fresh 2-bit counter; the
+iteration and reconfiguration tables are shared read-only across the
+fleet — see the controller's concurrency contract), the recording's
+name, its per-keyframe front-end feature counts, and the pending
+backlog of arrived-but-not-yet-submitted windows. It holds no recording
+and no estimator, so it can be built from counts alone.
 
-Thread-safety model: the service's event loop mutates a session only
-while it is *not* INFLIGHT; while INFLIGHT, exactly one accelerator
-worker thread runs :meth:`execute`. A session therefore never needs a
-lock — the scheduler's single-inflight-window-per-session rule *is* the
-synchronization.
+The numerics live in a :class:`SessionEstimator`: the recording, the
+:class:`SlidingWindowEstimator` bootstrapped on frame 0, and the
+:class:`RunResult` it accumulates. The service builds both in the
+serving parent (synthesis and the bootstrap run there) and hands only
+the estimators to its execution backend (:mod:`repro.serve.backend`),
+which is from then on their sole owner: the parent holds only the
+views. The engine that synthesized the recordings lives only through
+``LocalizationService.prepare``, and the parent keeps no fork-time copy
+of a process worker's estimators, so respawning a worker means
+rebuilding its sessions.
+
+Thread-safety model: the event loop mutates a view only while its
+session is *not* INFLIGHT; while INFLIGHT, exactly one backend worker
+runs the estimator's :meth:`SessionEstimator.execute`. Neither object
+needs a lock — the scheduler's single-inflight-window-per-session rule
+*is* the synchronization.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 from repro.data.sequences import Sequence
 from repro.data.stats import WindowStats
@@ -118,40 +131,36 @@ class WindowOutcome:
 
 @dataclass
 class Session:
-    """Per-robot serving state."""
+    """The event loop's view of one robot's session.
+
+    ``feature_counts[f]`` is the front-end's tracked-feature count at
+    keyframe ``f`` (the load signal the controller keys its iteration
+    decision on); its length is the recording's keyframe count. Frame 0
+    bootstraps the estimator, so the windows to serve are frames
+    ``1 .. num_keyframes - 1``, in order.
+    """
 
     session_id: int
-    sequence: Sequence
     controller: RuntimeController
-    window_size: int = 6
-    estimator: SlidingWindowEstimator = field(init=False)
-    result: RunResult = field(init=False)
+    feature_counts: tuple[int, ...]
+    recording: str = ""
 
     def __post_init__(self) -> None:
-        self.estimator = SlidingWindowEstimator(
-            EstimatorConfig(
-                window_size=self.window_size, lm=LMConfig(), seed=self.session_id
-            )
-        )
-        self.result = self.estimator.start(self.sequence)
-        # Frame 0 bootstraps the estimator synchronously; windows to
-        # serve are frames 1 .. num_keyframes-1, in order.
-        self.estimator.step(self.sequence, 0, self.result)
         self.state = SessionState.WAITING
         self.next_frame = 1
         self.pending: deque[tuple[int, float]] = deque()  # (frame_id, ready_time)
 
     @property
+    def num_keyframes(self) -> int:
+        return len(self.feature_counts)
+
+    @property
     def total_windows(self) -> int:
-        return max(self.sequence.num_keyframes - 1, 0)
+        return max(self.num_keyframes - 1, 0)
 
     @property
     def frames_remaining(self) -> bool:
-        return self.next_frame < self.sequence.num_keyframes
-
-    # ------------------------------------------------------------------
-    # Event-loop side (never runs concurrently with execute())
-    # ------------------------------------------------------------------
+        return self.next_frame < self.num_keyframes
 
     def on_arrival(self, t: float) -> bool:
         """The front-end produced the next keyframe at virtual time ``t``.
@@ -169,7 +178,7 @@ class Session:
     def front_end_feature_count(self, frame_id: int) -> int:
         """The sensing front-end's load signal for one keyframe — what
         the runtime controller keys its iteration decision on."""
-        return self.sequence.observations[frame_id].num_features
+        return self.feature_counts[frame_id]
 
     def take_pending(self) -> tuple[int, float]:
         """Pop the oldest pending window for submission/shedding."""
@@ -186,12 +195,6 @@ class Session:
                 f"session {self.session_id} already has a window in flight"
             )
         self.state = SessionState.INFLIGHT
-
-    def shed(self, frame_id: int) -> None:
-        """Admission control dropped this window: ingest the keyframe
-        (dead-reckoning keeps the state chain consistent) but skip the
-        accelerator's optimization entirely."""
-        self.estimator.step(self.sequence, frame_id, self.result, skip_optimize=True)
 
     def on_complete(self) -> None:
         if self.state is not SessionState.INFLIGHT:
@@ -211,9 +214,47 @@ class Session:
         ):
             self.state = SessionState.DRAINED
 
-    # ------------------------------------------------------------------
-    # Worker side (runs on an accelerator thread while INFLIGHT)
-    # ------------------------------------------------------------------
+    def execute(self, request: WindowRequest) -> NoReturn:
+        """A view runs no numerics: the backend's :class:`SessionEstimator`
+        executes every window. (layerbench wraps ``Session.execute`` by
+        name, so the method stays, and says where the work went.)"""
+        raise ServeError(
+            f"session {self.session_id}: windows execute on the backend's "
+            f"SessionEstimator, not on the event loop's view (frame "
+            f"{request.frame_id})"
+        )
+
+
+@dataclass
+class SessionEstimator:
+    """One session's numerics: the recording, the estimator fed keyframe
+    by keyframe, and the run it accumulates.
+
+    Construction bootstraps the estimator on frame 0 synchronously. The
+    serving parent builds it (so set-up runs on the parent's warm heap)
+    and hands it to the execution backend, which alone keeps it.
+    """
+
+    session_id: int
+    sequence: Sequence
+    window_size: int = 6
+    estimator: SlidingWindowEstimator = field(init=False)
+    result: RunResult = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.estimator = SlidingWindowEstimator(
+            EstimatorConfig(
+                window_size=self.window_size, lm=LMConfig(), seed=self.session_id
+            )
+        )
+        self.result = self.estimator.start(self.sequence)
+        self.estimator.step(self.sequence, 0, self.result)
+
+    def shed(self, frame_id: int) -> None:
+        """Admission control dropped this window: ingest the keyframe
+        (dead-reckoning keeps the state chain consistent) but skip the
+        accelerator's optimization entirely."""
+        self.estimator.step(self.sequence, frame_id, self.result, skip_optimize=True)
 
     def execute(self, request: WindowRequest) -> WindowResult:
         """Run the window optimization the accelerator would perform."""

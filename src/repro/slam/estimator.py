@@ -251,8 +251,9 @@ class SlidingWindowEstimator:
         )
         gyro_sigma = noise.discrete_gyro_sigma(segment.dt) if noise.gyro_noise else 1e-4
         accel_sigma = noise.discrete_accel_sigma(segment.dt) if noise.accel_noise else 1e-3
-        for gyro, accel in zip(segment.gyro, segment.accel):
-            pre.integrate(gyro, accel, segment.dt, gyro_sigma, accel_sigma)
+        pre.integrate_segment(
+            segment.gyro, segment.accel, segment.dt, gyro_sigma, accel_sigma
+        )
 
         # Dead-reckoning initialization of the new keyframe.
         dt = pre.dt_total

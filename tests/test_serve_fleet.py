@@ -14,14 +14,18 @@ The load-bearing properties:
   which is what the process backend rides on.
 """
 
+import gc
 import json
 import multiprocessing
 import pickle
 import time
+import types
+import weakref
 from dataclasses import replace
 
 import pytest
 
+from repro.data.sequences import Sequence
 from repro.engine import Engine
 from repro.errors import ConfigurationError, ServeError
 from repro.runtime.controller import RuntimeController
@@ -41,7 +45,33 @@ from repro.serve import (
 )
 from repro.serve.backend import ProcessBackend
 from repro.serve.service import LocalizationService
+from repro.serve.session import SessionEstimator
+from repro.slam.estimator import SlidingWindowEstimator
 from tests.test_serve import assert_obs_matches_metrics
+
+
+NUMERICS = (Sequence, SlidingWindowEstimator, SessionEstimator)
+
+
+def reachable_numerics(root, skip=()) -> set[str]:
+    """Names of the numerics types reachable from ``root`` by following
+    object references, not entering ``skip``, classes, modules or a
+    function's globals (those lead to process-wide state)."""
+    seen = {id(obj) for obj in skip}
+    stack, found = [root], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, NUMERICS):
+            found.add(type(obj).__name__)
+        if isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+            continue
+        stack.extend(gc.get_referents(obj))
+    return found
 
 
 def fleet_profile(**overrides):
@@ -303,6 +333,32 @@ class TestBackends:
         finally:
             backend.stop()
         assert not any(proc.is_alive() for proc in procs)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_parent_keeps_only_event_loop_views(self, backend):
+        """After prepare the service has let go of its engine (and the
+        engine's memo of the recordings), and the session numerics live
+        in the backend alone: in-process for the thread backend, only in
+        the forked workers for the process backend."""
+        engine = Engine(use_disk=False)
+        engine_ref = weakref.ref(engine)
+        service = LocalizationService(
+            fleet_profile(num_sessions=2), engine=engine, backend=backend
+        )
+        del engine
+        service.prepare()
+        try:
+            assert engine_ref() is None
+            assert service.sessions and service.engine is None
+            assert not reachable_numerics(service, skip=[service._backend])
+            expected = (
+                {"Sequence", "SlidingWindowEstimator", "SessionEstimator"}
+                if backend == "thread"
+                else set()
+            )
+            assert reachable_numerics(service._backend) == expected
+        finally:
+            service.close()
 
     def test_worker_exits_when_parent_end_closes(self):
         """A worker must not outlive its pipe: once the parent's end is
