@@ -1,26 +1,25 @@
 #!/usr/bin/env python
-"""Portfolio-fleet benchmark: mixed configs + routing vs the best single config.
+"""Portfolio-fleet benchmark: mixed configs vs the best single config.
 
 One seeded open-loop workload over the ``mixed`` degenerate-regime
-forecast, three fleets of equal instance count, one
+forecast, two fleets of equal instance count, one
 ``BENCH_portfolio.json``:
 
 * **single-best** — the solver constrained to one config
-  (``portfolio_configs=1``): the best *homogeneous* fleet for the mix,
-  FIFO-dispatched. This is the Archytas-style baseline: one synthesized
-  accelerator, replicated.
-* **portfolio-fifo** — the solved mixed portfolio deployed, but windows
-  still FIFO-dispatched: isolates the hardware-mix gain from the
-  routing gain.
-* **portfolio-marginal** — the solved portfolio with config-aware
-  marginal-completion-time routing: the full fleet-planning stack.
+  (``portfolio_configs=1``): the best *homogeneous* fleet for the mix.
+  This is the Archytas-style baseline: one synthesized accelerator,
+  replicated.
+* **portfolio-fifo** — the solved mixed portfolio deployed across the
+  same instance count.
 
-The acceptance claim is Pareto domination at equal instance count: the
-marginal portfolio's p99 latency must not exceed the single-config
-fleet's, and its total window energy must be strictly lower. Shedding
-and degradation are disabled (queue bounds opened to the session count)
-so every fleet serves the identical window set and the comparison is
-apples to apples.
+Both fleets run the service's one dispatcher: each free instance takes
+the next earliest-deadline-first micro-batch, and a window is priced at
+the config of the instance that takes it. The acceptance claim is
+Pareto domination at equal instance count: the portfolio's p99 latency
+must not exceed the single-config fleet's, and its total energy must be
+strictly lower. Shedding and degradation are disabled (queue bounds
+opened to the session count) so both fleets serve the identical window
+set and the comparison is apples to apples.
 
 Usage (from the repo root)::
 
@@ -82,7 +81,6 @@ def bench_fleet(profile: LoadProfile, label: str, **overrides) -> dict:
     portfolio = metrics["portfolio"]
     return {
         "label": label,
-        "route": variant.route,
         "configs": [
             {"config_id": e["config_id"], "count": e["count"]}
             for e in portfolio.get("entries", [])
@@ -103,21 +101,15 @@ def bench_fleet(profile: LoadProfile, label: str, **overrides) -> dict:
 def run_benchmark(args: argparse.Namespace) -> dict:
     profile = base_profile(args)
     single = bench_fleet(
-        profile, "single-best", portfolio="mixed", portfolio_configs=1, route="fifo"
+        profile, "single-best", portfolio="mixed", portfolio_configs=1
     )
-    mixed_fifo = bench_fleet(
-        profile, "portfolio-fifo", portfolio="mixed", route="fifo"
-    )
-    marginal = bench_fleet(
-        profile, "portfolio-marginal", portfolio="mixed", route="marginal"
-    )
+    mixed = bench_fleet(profile, "portfolio-fifo", portfolio="mixed")
     # The Pareto claim: same served windows, no worse p99, strictly less
     # energy than the best homogeneous fleet at equal instance count.
     dominates = (
-        marginal["windows_served"] == single["windows_served"]
-        and marginal["latency_p99_ms"] <= single["latency_p99_ms"]
-        and marginal["energy_j"] + marginal["reconfig_energy_j"]
-        < single["energy_j"]
+        mixed["windows_served"] == single["windows_served"]
+        and mixed["latency_p99_ms"] <= single["latency_p99_ms"]
+        and mixed["energy_j"] + mixed["reconfig_energy_j"] < single["energy_j"]
     )
     return {
         "benchmark": "portfolio-vs-single-config",
@@ -130,17 +122,17 @@ def run_benchmark(args: argparse.Namespace) -> dict:
             "sequence_duration_s": profile.sequence_duration_s,
             "seed": profile.seed,
         },
-        "fleets": [single, mixed_fifo, marginal],
+        "fleets": [single, mixed],
         "portfolio_dominates_single": dominates,
         "energy_saving_fraction": (
             1.0
-            - (marginal["energy_j"] + marginal["reconfig_energy_j"])
+            - (mixed["energy_j"] + mixed["reconfig_energy_j"])
             / single["energy_j"]
             if single["energy_j"]
             else 0.0
         ),
         "p99_change_fraction": (
-            marginal["latency_p99_ms"] / single["latency_p99_ms"] - 1.0
+            mixed["latency_p99_ms"] / single["latency_p99_ms"] - 1.0
             if single["latency_p99_ms"]
             else 0.0
         ),
@@ -164,7 +156,7 @@ def main() -> int:
     parser.add_argument(
         "--require-domination",
         action="store_true",
-        help="exit non-zero unless the marginal portfolio Pareto-dominates "
+        help="exit non-zero unless the portfolio fleet Pareto-dominates "
         "the single-config fleet",
     )
     args = parser.parse_args()

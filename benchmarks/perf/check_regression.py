@@ -13,7 +13,7 @@ picks the first list element whose fields match (compared as text)::
 
     backends.batched.lm_solve.stage_ms.solve_ms
     shards.points[num_shards=1,backend=thread].wall_throughput_wps
-    fleets[label=portfolio-marginal].energy_j
+    fleets[label=portfolio-fifo].energy_j
 
 Lower is better unless ``--higher-is-better``. The change is relative to
 the baseline (0.25 = 25%) unless ``--absolute``, which compares plain

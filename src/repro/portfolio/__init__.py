@@ -1,13 +1,12 @@
-"""Fleet-level portfolio synthesis and config-aware routing.
+"""Fleet-level portfolio synthesis and drift reconfiguration.
 
 Archytas (Sec. 7.6) dynamically optimizes one accelerator for one
 robot; this package lifts the idea to datacenter scale: synthesize the
 best *portfolio* of design points for a forecast traffic mix
-(:mod:`spec`, :mod:`solver`), charge partial-reconfiguration swaps in
-virtual time (:mod:`reconfig`), and route each window to the instance
-whose config minimizes marginal completion time (:mod:`router`). The
-serving tier consumes all four through ``LoadProfile(portfolio=...,
-route="marginal")``; ``python -m repro.portfolio`` solves and reports
+(:mod:`spec`, :mod:`solver`), and charge partial-reconfiguration swaps
+of drifting instances in virtual time (:mod:`reconfig`). The serving
+tier consumes all three through ``LoadProfile(portfolio=...,
+reconfig_after=...)``; ``python -m repro.portfolio`` solves and reports
 standalone. See ``docs/portfolio.md``.
 """
 
@@ -15,13 +14,8 @@ from repro.portfolio.reconfig import (
     DEFAULT_RECONFIG_MODEL,
     PartialReconfigModel,
     ReconfigCharge,
-    build_portfolio_reconfig_table,
-    reconfig_distance,
-)
-from repro.portfolio.router import (
-    brute_force_choice,
-    choose_instance,
     drift_candidate,
+    reconfig_distance,
 )
 from repro.portfolio.solver import (
     PortfolioEntry,
@@ -56,9 +50,6 @@ __all__ = [
     "RegimeDemand",
     "TrafficForecast",
     "available_forecasts",
-    "brute_force_choice",
-    "build_portfolio_reconfig_table",
-    "choose_instance",
     "default_candidates",
     "default_portfolio_spec",
     "drift_candidate",

@@ -5,8 +5,11 @@ gating* inside one static design — free, because no bitstream changes.
 Moving an instance between two *portfolio* configs is different: the
 fabric regions holding the resized blocks must be partially
 reprogrammed, which costs real time (the instance is offline) and
-energy (configuration-port power). The serve event loop charges both in
-virtual time when the router decides an instance should swap.
+energy (configuration-port power). After each batch on a portfolio pool
+with ``reconfig_after`` set, the serve event loop asks
+:func:`drift_candidate` whether another portfolio config would have
+served the batch faster, and charges both costs in virtual time when an
+instance swaps.
 
 The model is linear in the "reconfiguration distance" between the two
 configs — the number of customized units that change — mirroring how
@@ -55,7 +58,7 @@ class PartialReconfigModel:
         seconds_per_unit / joules_per_unit: marginal cost per
             reconfigured unit (see :func:`reconfig_distance`).
         improvement_margin: relative service-time improvement another
-            portfolio config must show, sustained, before the router
+            portfolio config must show, sustained, before the service
             considers a swap worth its cost.
     """
 
@@ -98,19 +101,27 @@ class PartialReconfigModel:
 DEFAULT_RECONFIG_MODEL = PartialReconfigModel()
 
 
-def build_portfolio_reconfig_table(
-    configs: tuple[HardwareConfig, ...],
-    model: PartialReconfigModel = DEFAULT_RECONFIG_MODEL,
-) -> dict[tuple[str, str], ReconfigCharge]:
-    """Pairwise swap costs for a portfolio, keyed by (from, to) labels.
+def drift_candidate(
+    current: HardwareConfig,
+    portfolio: tuple[HardwareConfig, ...],
+    service_by_config: dict[str, float],
+    improvement_margin: float,
+) -> HardwareConfig | None:
+    """The portfolio config this batch would rather have run on, if any.
 
-    The table is symmetric in cost but keyed directionally, mirroring
-    how :class:`~repro.runtime.reconfig.ReconfigurationTable` is indexed
-    at dispatch time.
+    Compares the batch's total service time on the instance's current
+    config against every other portfolio config; returns the best
+    alternative only when it beats the current config by more than the
+    margin (relative), else ``None``. Deterministic: candidates are
+    scanned in sorted-config order, strict improvement required.
     """
-    unique: dict[str, HardwareConfig] = {c.label: c for c in configs}
-    table: dict[tuple[str, str], ReconfigCharge] = {}
-    for src_label, src in sorted(unique.items()):
-        for dst_label, dst in sorted(unique.items()):
-            table[(src_label, dst_label)] = model.swap_cost(src, dst)
-    return table
+    current_s = service_by_config[current.label]
+    best: HardwareConfig | None = None
+    best_s = current_s * (1.0 - improvement_margin)
+    for config in sorted(set(portfolio), key=HardwareConfig.as_tuple):
+        if config == current:
+            continue
+        candidate_s = service_by_config[config.label]
+        if candidate_s < best_s:
+            best, best_s = config, candidate_s
+    return best

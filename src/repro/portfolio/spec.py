@@ -207,7 +207,7 @@ def regime_sizing_workload(
     The per-window mean of the regime's seeded stats series — the same
     series the trace/latency oracles replay — rounded back to a valid
     :class:`WindowStats`. A mean (not a max) because the portfolio sizes
-    for the *expected* mix; tail windows are the router's problem.
+    for the *expected* mix; tail windows queue or trigger drift swaps.
     """
     series = make_scenario_stats_series(
         pure(regime), seed, num_windows=num_windows, max_features=max_features

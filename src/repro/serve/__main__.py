@@ -69,12 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         "+ fixed-regime baseline",
     )
     parser.add_argument(
-        "--route",
-        choices=("fifo", "marginal"),
-        help="dispatch policy: FIFO pool (baseline) or config-aware "
-        "marginal-completion-time routing",
-    )
-    parser.add_argument(
         "--reconfig-after",
         type=int,
         metavar="N",
@@ -169,7 +163,6 @@ def _apply_overrides(profile, args):
         "batch_size": args.batch_size,
         "seed": args.seed,
         "portfolio": args.portfolio,
-        "route": args.route,
         "reconfig_after": args.reconfig_after,
         "policy": args.policy,
     }

@@ -64,8 +64,6 @@ class AcceleratorInstance:
     busy_seconds: float = 0.0
     batches: int = 0
     reconfigurations: int = 0
-    reconfig_seconds: float = 0.0
-    reconfig_joules: float = 0.0
 
     def __post_init__(self) -> None:
         if self.fidelity not in FIDELITIES:
@@ -119,8 +117,6 @@ class AcceleratorInstance:
         """
         self.config = config
         self.reconfigurations += 1
-        self.reconfig_seconds += seconds
-        self.reconfig_joules += joules
         self.busy_seconds += seconds
         self.free_at = start + seconds
         return self.free_at

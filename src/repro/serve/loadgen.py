@@ -50,11 +50,8 @@ class LoadProfile:
     scenario: str = ""  # "" = catalog mix; else a repro.scenarios regime
     # Fleet-planning knobs (repro.portfolio). portfolio="" keeps the
     # homogeneous named-design pool; a forecast name solves a portfolio
-    # and deploys its mixed configs across the instances. route picks
-    # the dispatcher: "fifo" (the baseline/oracle) or "marginal"
-    # (config-aware routing by marginal completion time).
+    # and deploys its mixed configs across the instances.
     portfolio: str = ""  # "" = homogeneous pool; else a traffic forecast
-    route: str = "fifo"  # "fifo" | "marginal"
     portfolio_configs: int = 0  # cap on distinct configs (0 = solver default)
     reconfig_after: int = 0  # drift batches before a swap (0 = never)
     # Learned runtime control (repro.runtime.policy). "" keeps the 2-bit
@@ -106,10 +103,6 @@ class LoadProfile:
             from repro.scenarios import resolve_scenario
 
             resolve_scenario(self.scenario)  # raises with did-you-mean
-        if self.route not in ("fifo", "marginal"):
-            raise ConfigurationError(
-                f"route must be 'fifo' or 'marginal', got {self.route!r}"
-            )
         if self.portfolio:
             from repro.portfolio import resolve_forecast
 
@@ -284,9 +277,12 @@ PROFILES: dict[str, LoadProfile] = {
         scenario="aggressive",
     ),
     # The portfolio profile: the solved "mixed" forecast deploys a
-    # heterogeneous pool and the marginal-cost router steers each window
-    # to the cheapest instance. CI's portfolio-smoke job runs this on 2
-    # shards; bench_portfolio.py uses a tuned variant of the same shape.
+    # heterogeneous pool, and each window runs on whichever instance
+    # takes its batch, at that instance's config. CI's portfolio-smoke
+    # job runs this on 2 shards; bench_portfolio.py uses a tuned variant
+    # of the same shape. The description is exported in
+    # SERVE_METRICS.json's profile section: rewording it changes every
+    # portfolio-mixed metrics file.
     "portfolio-mixed": _profile(
         "portfolio-mixed",
         "8 robots over the mixed degenerate regimes on a 4-instance "
@@ -298,7 +294,6 @@ PROFILES: dict[str, LoadProfile] = {
         sequence_duration_s=3.0,
         scenario="mixed",
         portfolio="mixed",
-        route="marginal",
     ),
     "scenario-highway": _profile(
         "scenario-highway",

@@ -118,18 +118,8 @@ class Scheduler:
 
     def next_batch(self) -> list[WindowRequest]:
         """Pop up to ``batch_size`` requests, earliest deadline first."""
-        return self.next_requests(self.batch_size)
-
-    def next_requests(self, limit: int) -> list[WindowRequest]:
-        """Pop up to ``limit`` requests, earliest deadline first.
-
-        The config-aware router drains one fleet-wide slice per dispatch
-        (``batch_size`` per free instance) and assigns each request to an
-        instance itself, so it needs the EDF pop decoupled from the
-        per-instance batch cap.
-        """
         batch: list[WindowRequest] = []
-        while self._heap and len(batch) < limit:
+        while self._heap and len(batch) < self.batch_size:
             _, _, request = heapq.heappop(self._heap)
             batch.append(request)
         return batch

@@ -20,7 +20,9 @@ Per event the loop does three things, always in the same order:
 3. **dispatch**: every idle instance takes one earliest-deadline-first
    micro-batch off the queue; the batch's optimizations execute
    concurrently in wall time while their virtual completion times are
-   laid out back-to-back on the instance.
+   laid out back-to-back on the instance. On a portfolio pool with
+   ``reconfig_after`` set, an instance whose batches keep drifting
+   toward another config swaps to it between batches.
 
 Sessions never have more than one window in flight (window ``n+1``
 linearizes around ``n``'s estimate), which is also what makes the
@@ -39,7 +41,7 @@ from repro.errors import ConfigurationError, ServeError
 from repro.hw.latency import window_latency_seconds
 from repro.hw.power import DEFAULT_POWER_MODEL
 from repro.obs.tracer import CLOCK_VIRTUAL, Trace
-from repro.portfolio.router import choose_instance, drift_candidate
+from repro.portfolio.reconfig import drift_candidate
 from repro.runtime.controller import RuntimeController
 from repro.runtime.profiler import IterationTable
 from repro.serve.accelerator import AcceleratorInstance, make_pool
@@ -250,7 +252,6 @@ class LocalizationService:
             self.portfolio_configs = tuple(
                 sorted(set(pool_configs), key=lambda c: c.as_tuple())
             )
-        self._pool_configs = pool_configs
         self._drift_counts: dict[int, int] = {}
 
         self.sessions: dict[int, Session] = {}
@@ -514,12 +515,6 @@ class LocalizationService:
     # ------------------------------------------------------------------
 
     def _dispatch(self, t: float) -> None:
-        if self.profile.route == "marginal":
-            self._dispatch_marginal(t)
-        else:
-            self._dispatch_fifo(t)
-
-    def _dispatch_fifo(self, t: float) -> None:
         assignments: list[tuple[AcceleratorInstance, list[WindowRequest]]] = []
         for instance in self.pool:
             if instance.free_at > t or len(self.scheduler) == 0:
@@ -537,6 +532,16 @@ class LocalizationService:
         jobs = [request for _, batch in assignments for request in batch]
         results = self._backend.run_jobs(jobs)
         result_by_seq = {outcome.seq: outcome for outcome in results}
+        # A portfolio pool is heterogeneous: windows run on the
+        # instance's own deployed config at that config's power. The
+        # homogeneous pool keeps the runtime-reconfiguration tier's
+        # request-level config and gated power.
+        portfolio = self.portfolio_solution is not None
+        reconfiguring = (
+            portfolio
+            and self.profile.reconfig_after >= 1
+            and len(self.portfolio_configs) >= 2
+        )
 
         for instance, batch in assignments:
             self.telemetry.record_batch(len(batch))
@@ -551,12 +556,6 @@ class LocalizationService:
                     session.on_complete()
                     session.maybe_drain()
                     continue
-                # A portfolio pool is heterogeneous: windows run on the
-                # instance's own deployed config at that config's power,
-                # exactly as the marginal route accounts them. The
-                # homogeneous pool keeps the runtime-reconfiguration
-                # tier's request-level config and gated power.
-                portfolio = self.portfolio_solution is not None
                 charge = instance.charge(
                     outcome.stats,
                     instance.config if portfolio else request.config,
@@ -632,130 +631,17 @@ class LocalizationService:
                     instance=instance.instance_id,
                     occupancy=len(batch),
                 )
-                self._push_event(cursor, _FREE, instance.instance_id)
-
-    def _dispatch_marginal(self, t: float) -> None:
-        """Config-aware dispatch: route each window to the instance that
-        minimizes its marginal virtual completion time.
-
-        One fleet-wide EDF slice (``batch_size`` per free instance) is
-        drained per dispatch; every window is then assigned — in EDF
-        order, so routing is a total order — to the free instance whose
-        queue-ahead plus service time on *that instance's config* is
-        smallest, with an energy tiebreak (:func:`choose_instance`,
-        pinned against a brute-force oracle by the conformance harness).
-        """
-        free = [inst for inst in self.pool if inst.free_at <= t]
-        if not free or len(self.scheduler) == 0:
-            return
-        requests = self.scheduler.next_requests(
-            self.profile.batch_size * len(free)
-        )
-        if not requests:
-            return
-        self.telemetry.sample_queue_depth(t, len(self.scheduler))
-
-        # As in FIFO dispatch: all numerics run concurrently in wall
-        # time, and virtual-time accounting consumes them in EDF order.
-        # Routing happens after execution because the service time
-        # depends on the executed window's stats — which are themselves
-        # backend-invariant, so the routing decisions are too.
-        results = self._backend.run_jobs(list(requests))
-        result_by_seq = {outcome.seq: outcome for outcome in results}
-
-        cursors = {inst.instance_id: t for inst in free}
-        batches: dict[int, list] = {inst.instance_id: [] for inst in free}
-        for request in requests:
-            session = self.sessions[request.session_id]
-            metrics = self.telemetry.session(session.session_id)
-            outcome = result_by_seq[request.seq]
-            if not outcome.ok:
-                self.telemetry.errors += 1
-                session.on_complete()
-                session.maybe_drain()
-                continue
-            charges = [
-                inst.charge(
-                    outcome.stats,
-                    inst.config,
-                    request.iterations,
-                    request.reconfigured,
-                )
-                for inst in free
-            ]
-            energies = [
-                charge.compute_s * DEFAULT_POWER_MODEL.power(inst.config)
-                for inst, charge in zip(free, charges)
-            ]
-            pick = choose_instance(
-                t,
-                [cursors[inst.instance_id] for inst in free],
-                [charge.total_s for charge in charges],
-                energies,
-            )
-            instance, charge, energy = free[pick], charges[pick], energies[pick]
-            cursor = cursors[instance.instance_id]
-            completion = cursor + charge.total_s
-            self.trace.add_span(
-                "queue_wait",
-                category="serve",
-                start_s=request.ready_time,
-                duration_s=t - request.ready_time,
-                depth=1,
-                session=request.session_id,
-                frame=request.frame_id,
-            )
-            self.trace.add_span(
-                "service",
-                category="serve",
-                start_s=cursor,
-                duration_s=charge.total_s,
-                depth=1,
-                session=request.session_id,
-                frame=request.frame_id,
-                iterations=request.iterations,
-                degraded=request.degraded,
-                instance=instance.instance_id,
-                config=instance.config_id,
-            )
-            self.telemetry.record_window(
-                metrics,
-                ready_time=request.ready_time,
-                dispatch_time=t,
-                completion_time=completion,
-                deadline=request.deadline,
-                iterations=request.iterations,
-                degraded=request.degraded,
-                reconfigured=request.reconfigured,
-                energy_j=energy,
-                drift_m=outcome.newest_position_error,
-                config_id=instance.config_id,
-                service_s=charge.total_s,
-            )
-            self._account_service(
-                session, charge.total_s, outcome.newest_position_error
-            )
-            instance.occupy(cursor, charge.total_s)
-            cursors[instance.instance_id] = completion
-            batches[instance.instance_id].append((request, outcome))
-            self._push_event(completion, _COMPLETE, session.session_id)
-
-        for instance in free:
-            batch = batches[instance.instance_id]
-            if not batch:
-                continue
-            self.telemetry.record_batch(len(batch))
-            instance.batches += 1
-            self.trace.add_span(
-                "batch",
-                category="serve",
-                start_s=t,
-                duration_s=cursors[instance.instance_id] - t,
-                instance=instance.instance_id,
-                occupancy=len(batch),
-            )
-            self._maybe_reconfigure(instance, batch)
-            self._push_event(instance.free_at, _FREE, instance.instance_id)
+                if reconfiguring:
+                    self._maybe_reconfigure(
+                        instance,
+                        [
+                            (request, result_by_seq[request.seq])
+                            for request in batch
+                            if result_by_seq[request.seq].ok
+                        ],
+                    )
+                # free_at is the batch cursor unless the instance swapped.
+                self._push_event(instance.free_at, _FREE, instance.instance_id)
 
     def _maybe_reconfigure(self, instance: AcceleratorInstance, batch) -> None:
         """Between-batch partial reconfiguration on sustained drift.
@@ -763,15 +649,9 @@ class LocalizationService:
         After ``reconfig_after`` consecutive batches that another
         portfolio config would have served faster (by more than the swap
         model's margin), the instance swaps to that config, paying the
-        model's virtual time and energy while offline.
+        model's virtual time and energy while offline. Runs only on a
+        portfolio pool of at least two configs with ``reconfig_after`` set.
         """
-        profile = self.profile
-        if (
-            self.portfolio_solution is None
-            or profile.reconfig_after < 1
-            or len(self.portfolio_configs) < 2
-        ):
-            return
         service_by_config = {
             config.label: sum(
                 window_latency_seconds(
@@ -791,7 +671,7 @@ class LocalizationService:
             self._drift_counts[instance.instance_id] = 0
             return
         count = self._drift_counts.get(instance.instance_id, 0) + 1
-        if count < profile.reconfig_after:
+        if count < self.profile.reconfig_after:
             self._drift_counts[instance.instance_id] = count
             return
         self._drift_counts[instance.instance_id] = 0

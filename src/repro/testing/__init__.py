@@ -12,7 +12,7 @@ This package makes each link a first-class, runnable *oracle*:
   oracles, the Hypothesis strategies, and the test suite;
 * :mod:`repro.testing.oracles` — the differential runners with typed
   mismatch reports (backend, functional, trace, fixedpoint, plus the
-  SolverPlan-vs-dense solve and portfolio router oracles);
+  SolverPlan-vs-dense solve oracle);
 * :mod:`repro.testing.faults` — deterministic fault injectors (NaN
   tracks, IMU gaps, degenerate windows, corrupted cache blobs);
 * :mod:`repro.testing.conformance` — the oracle x workload matrix,

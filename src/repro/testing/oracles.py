@@ -22,10 +22,6 @@ computation on a deterministic randomized workload and returns an
   (:meth:`~repro.slam.problem.LinearSystem.solve_dense`), plus
   bit-identity of a reused plan, and of a plan refit from a larger
   feature count, vs a freshly built one.
-* ``router`` — the portfolio tier's marginal-completion-time router
-  (:func:`repro.portfolio.choose_instance`) against the brute-force
-  scan of every (completion, energy, index) tuple, window by window on
-  a contended heterogeneous pool: exact index agreement, tolerance 0.
 
 Every oracle accepts a ``perturbation`` knob that deliberately skews one
 side of the comparison; the conformance CLI's ``--perturb`` flag (and
@@ -524,82 +520,6 @@ def run_plan_oracle(
 
 
 # ----------------------------------------------------------------------
-# Oracle 6: marginal-cost router vs the brute-force argmin
-# ----------------------------------------------------------------------
-
-def run_router_oracle(
-    workload: ConformanceWorkload, perturbation: float = 0.0
-) -> OracleReport:
-    """The marginal router must clone the exhaustive cost scan exactly.
-
-    Replays the workload's stats series against a 3-instance
-    heterogeneous pool (both named design points plus the workload's own
-    config) with arrivals at half the fastest service time, so queues
-    actually build and the ``free_at`` term of the marginal cost is
-    load-bearing — an idle pool would only exercise the service-time
-    tiebreak. Every window's :func:`repro.portfolio.choose_instance`
-    pick must equal :func:`repro.portfolio.brute_force_choice` on the
-    same tuples (tolerance 0: routing is exact, not approximate).
-    ``perturbation`` rotates the brute-force side's service list, which
-    moves its argmin on a heterogeneous pool.
-    """
-    from repro.hw.latency import window_latency_seconds
-    from repro.hw.power import DEFAULT_POWER_MODEL
-    from repro.portfolio.router import brute_force_choice, choose_instance
-
-    report = OracleReport("router", workload.label())
-    tic = perf_counter()
-    series = make_stats_series(
-        workload.seed,
-        num_windows=workload.num_windows,
-        max_features=max(workload.num_features, 2),
-        scenario=workload.scenario,
-    )
-    configs = (
-        DESIGN_POINTS["dp-small"],
-        DESIGN_POINTS["dp-large"],
-        _hardware_config_for(workload),
-    )
-    free_at = [0.0] * len(configs)
-    routed = [0] * len(configs)
-    now = 0.0
-    for index, (stats, iterations) in enumerate(series):
-        services = [
-            window_latency_seconds(stats, config, iterations) for config in configs
-        ]
-        energies = [
-            service * DEFAULT_POWER_MODEL.power(config)
-            for service, config in zip(services, configs)
-        ]
-        oracle_services = list(services)
-        if perturbation:
-            oracle_services = oracle_services[1:] + oracle_services[:1]
-        pick = choose_instance(now, free_at, services, energies)
-        reference = brute_force_choice(now, free_at, oracle_services, energies)
-        report.check_scalar(
-            f"window_{index}_choice", float(reference), float(pick), 0.0,
-            detail=f"free_at={['%.6f' % f for f in free_at]}",
-        )
-        routed[pick] += 1
-        free_at[pick] = max(now, free_at[pick]) + services[pick]
-        now += min(services) * 0.5
-    report.check_scalar(
-        "all_windows_routed", float(len(series)), float(sum(routed)), 0.0,
-    )
-    report.check_scalar(
-        "cursors_finite", 1.0, float(np.all(np.isfinite(free_at))), 0.0,
-    )
-
-    report.info = {
-        f"windows_on_{config.label}": float(count)
-        for config, count in zip(configs, routed)
-    }
-    report.info["makespan_s"] = float(max(free_at))
-    report.seconds = perf_counter() - tic
-    return report
-
-
-# ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 
@@ -611,5 +531,4 @@ ORACLES: dict[str, OracleRunner] = {
     "trace": run_trace_oracle,
     "fixedpoint": run_fixedpoint_oracle,
     "plan_solve": run_plan_oracle,
-    "router": run_router_oracle,
 }

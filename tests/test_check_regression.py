@@ -35,8 +35,8 @@ FIELDS = {
         "wall_throughput_wps",
     ),
     "policy.mean_energy_saving": lambda r: (r["policy"], "mean_energy_saving"),
-    "fleets[label=portfolio-marginal].energy_j": lambda r: (
-        next(f for f in r["fleets"] if f["label"] == "portfolio-marginal"), "energy_j"
+    "fleets[label=portfolio-fifo].energy_j": lambda r: (
+        next(f for f in r["fleets"] if f["label"] == "portfolio-fifo"), "energy_j"
     ),
 }
 

@@ -30,8 +30,8 @@ SMALL = ConformanceWorkload("small", seed=21, num_keyframes=5, num_features=24, 
 
 
 class TestOracleMatrix:
-    def test_default_matrix_covers_six_oracles_three_scales(self):
-        assert len(ORACLES) == 6
+    def test_default_matrix_covers_five_oracles_three_scales(self):
+        assert len(ORACLES) == 5
         assert len(DEFAULT_WORKLOADS) >= 3
         assert len(QUICK_WORKLOADS) >= 3
         assert len({w.name for w in DEFAULT_WORKLOADS}) >= 3

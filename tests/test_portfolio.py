@@ -8,9 +8,9 @@ The load-bearing properties:
   instance budget, configs within the cap) and reduces *exactly* to
   single-config synthesis for a pure regime — the pinned differential
   against ``minimize_power`` / ``minimize_latency``;
-* the marginal router agrees with the brute-force scan on every input;
 * partial-reconfiguration charges are zero on self-swap, symmetric, and
-  strictly positive across distinct configs;
+  strictly positive across distinct configs, and a drift swap needs more
+  than the model's improvement margin;
 * the serve integration stays bit-deterministic (repeat runs and the
   process backend reproduce ``SERVE_METRICS.json`` byte for byte) and
   the per-config counters sum exactly to the run totals.
@@ -21,7 +21,6 @@ from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.data.stats import WindowStats
 from repro.engine import Engine
@@ -36,9 +35,6 @@ from repro.portfolio import (
     PortfolioSpec,
     TrafficForecast,
     available_forecasts,
-    brute_force_choice,
-    build_portfolio_reconfig_table,
-    choose_instance,
     default_portfolio_spec,
     drift_candidate,
     forecast,
@@ -71,7 +67,6 @@ def portfolio_profile(**overrides):
         sequence_duration_s=2.0,
         scenario="mixed",
         portfolio="mixed",
-        route="marginal",
         seed=0,
     )
     base.update(overrides)
@@ -232,54 +227,6 @@ class TestSolver:
 
 
 # ----------------------------------------------------------------------
-# Router
-# ----------------------------------------------------------------------
-
-
-class TestRouter:
-    @given(
-        st.integers(min_value=1, max_value=6).flatmap(
-            lambda n: st.tuples(
-                st.floats(min_value=0.0, max_value=10.0),
-                st.lists(
-                    st.floats(min_value=0.0, max_value=10.0),
-                    min_size=n, max_size=n,
-                ),
-                st.lists(
-                    st.floats(min_value=1e-6, max_value=1.0),
-                    min_size=n, max_size=n,
-                ),
-                st.lists(
-                    st.floats(min_value=0.0, max_value=5.0),
-                    min_size=n, max_size=n,
-                ),
-            )
-        )
-    )
-    def test_choose_matches_brute_force(self, case):
-        now, free_at, service_s, energy_j = case
-        assert choose_instance(now, free_at, service_s, energy_j) == (
-            brute_force_choice(now, free_at, service_s, energy_j)
-        )
-
-    def test_ties_break_by_energy_then_index(self):
-        assert choose_instance(0.0, [0.0, 0.0], [1.0, 1.0], [2.0, 1.0]) == 1
-        assert choose_instance(0.0, [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]) == 0
-
-    def test_busy_instance_loses_to_idle_slower_one(self):
-        # Completion on 0 is 5.0 + 1.0; on 1 it's 0.0 + 2.0.
-        assert choose_instance(0.0, [5.0, 0.0], [1.0, 2.0], [1.0, 1.0]) == 1
-
-    def test_drift_candidate_respects_margin(self):
-        a, b = HardwareConfig(2, 2, 4), HardwareConfig(4, 1, 6)
-        services = {a.label: 1.0, b.label: 0.97}
-        assert drift_candidate(a, (a, b), services, 0.05) is None
-        services = {a.label: 1.0, b.label: 0.90}
-        assert drift_candidate(a, (a, b), services, 0.05) == b
-        assert drift_candidate(b, (a, b), services, 0.05) is None
-
-
-# ----------------------------------------------------------------------
 # Partial reconfiguration
 # ----------------------------------------------------------------------
 
@@ -307,11 +254,13 @@ class TestReconfig:
             base, near
         ).seconds
 
-    def test_table_covers_all_pairs(self):
-        configs = (HardwareConfig(2, 2, 4), HardwareConfig(4, 1, 6))
-        table = build_portfolio_reconfig_table(configs)
-        labels = sorted(c.label for c in configs)
-        assert set(table) == {(a, b) for a in labels for b in labels}
+    def test_drift_candidate_respects_margin(self):
+        a, b = HardwareConfig(2, 2, 4), HardwareConfig(4, 1, 6)
+        services = {a.label: 1.0, b.label: 0.97}
+        assert drift_candidate(a, (a, b), services, 0.05) is None
+        services = {a.label: 1.0, b.label: 0.90}
+        assert drift_candidate(a, (a, b), services, 0.05) == b
+        assert drift_candidate(b, (a, b), services, 0.05) is None
 
     def test_model_validation(self):
         with pytest.raises(ConfigurationError):
@@ -329,8 +278,6 @@ class TestServeIntegration:
     def test_profile_validation(self):
         with pytest.raises(ConfigurationError, match="did you mean"):
             portfolio_profile(portfolio="mixd")
-        with pytest.raises(ConfigurationError):
-            portfolio_profile(route="random")
         with pytest.raises(ConfigurationError, match="nothing to swap"):
             portfolio_profile(portfolio="", reconfig_after=2)
 
@@ -368,7 +315,10 @@ class TestServeIntegration:
         )
 
     def test_fifo_route_still_tracks_configs(self):
-        metrics = run_service(portfolio_profile(route="fifo")).metrics
+        """Idle-instance dispatch (the former ``fifo`` route, now the only
+        one) attributes every window to a config on the default 2-instance
+        pool too."""
+        metrics = run_service(portfolio_profile()).metrics
         assert sum(c["windows_served"] for c in metrics["configs"]) == (
             metrics["totals"]["windows_served"]
         )
@@ -407,6 +357,41 @@ class TestServeIntegration:
         first = json.dumps(run_service(profile).metrics, sort_keys=True)
         again = json.dumps(run_service(profile).metrics, sort_keys=True)
         assert first == again
+
+    def test_drift_reconfiguration_pays_on_a_small_mixed_pool(self):
+        """The dispatcher swaps drifting instances between batches, and on
+        a 2-instance mixed pool in closed loop that lowers p99 and energy.
+
+        Queue bounds are opened to the session count so neither run sheds
+        or degrades; 0.4 s is the shortest recording and horizon (0.1 s
+        steps) at which both figures still drop.
+        """
+
+        def run(reconfig_after):
+            return run_service(
+                portfolio_profile(
+                    arrival="closed",
+                    duration_s=0.4,
+                    sequence_duration_s=0.4,
+                    max_queue=8,
+                    backpressure=8,
+                    reconfig_after=reconfig_after,
+                )
+            )
+
+        def energy_j(report):
+            totals = report.metrics["totals"]
+            return totals["energy_j"] + totals["reconfig_energy_j"]
+
+        static, swapping = run(0), run(1)
+        assert static.metrics["totals"]["reconfigurations"] == 0
+        assert swapping.metrics["totals"]["reconfigurations"] >= 1
+        assert any(s.name == "partial_reconfig" for s in swapping.trace.spans)
+        assert (
+            swapping.metrics["latency_ms"]["p99_ms"]
+            < static.metrics["latency_ms"]["p99_ms"]
+        )
+        assert energy_j(swapping) < energy_j(static)
 
 
 class TestCli:

@@ -513,7 +513,6 @@ class TestHardRegimeFleet:
             duration_s=2.0,
             scenario="mixed",
             portfolio="mixed",
-            route="marginal",
             seed=0,
         )
         report = run_fleet(profile, num_shards)
