@@ -103,9 +103,9 @@ def bench_fleet(profile: LoadProfile, num_shards: int, backend: str) -> dict:
     """One fleet shape on a fixed 4-instance pool: wall-clock serving rate.
 
     ``serve_wall_seconds`` is the event-loop phase only — the slowest
-    shard's wall time after the sequential build/fork prepare — because
-    that is the steady-state serving rate; prepare is a one-time cost
-    reported separately.
+    shard's wall time after set-up (every shard's start, then prepare) —
+    because that is the steady-state serving rate; set-up is a one-time
+    cost reported separately.
     """
     report = run_fleet(
         dataclasses.replace(profile, num_instances=4), num_shards, backend=backend

@@ -153,6 +153,10 @@ class Engine:
         """Fetch or compute one artifact and return its payload."""
         return self.artifact(stage, config).payload
 
+    def memoized(self, key: str) -> bool:
+        """Whether the in-process memo already holds artifact ``key``."""
+        return key in self._memory
+
     # ------------------------------------------------------------------
     # Parallel runs
     # ------------------------------------------------------------------

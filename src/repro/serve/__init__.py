@@ -48,10 +48,13 @@ from repro.serve.scheduler import Admission, Scheduler
 from repro.serve.service import LocalizationService, ServeReport, run_profile
 from repro.serve.session import (
     Session,
+    SessionBuild,
     SessionEstimator,
+    SessionSpec,
     SessionState,
     WindowOutcome,
     WindowRequest,
+    build_sessions,
 )
 from repro.serve.telemetry import (
     METRICS_SCHEMA_VERSION,
@@ -81,8 +84,10 @@ __all__ = [
     "ServeReport",
     "ServiceCharge",
     "Session",
+    "SessionBuild",
     "SessionEstimator",
     "SessionMetrics",
+    "SessionSpec",
     "SessionState",
     "ShardSpec",
     "Telemetry",
@@ -90,6 +95,7 @@ __all__ = [
     "WindowOutcome",
     "WindowRequest",
     "available_profiles",
+    "build_sessions",
     "export_metrics",
     "make_backend",
     "make_pool",

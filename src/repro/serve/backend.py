@@ -16,19 +16,23 @@ implementations share one seam:
   order. This is what lets one shard — or a fleet of shards — use all
   host cores for real.
 
-Ownership: the service builds each session in two parts — an
-event-loop :class:`~repro.serve.session.Session` view it keeps, and a
-:class:`~repro.serve.session.SessionEstimator` (recording, bootstrapped
-estimator, run result) it passes to ``start`` and drops. The backend is
-then the estimators' only owner. The thread backend keeps them
-in-process; the process backend's workers inherit them at fork time,
-and the parent keeps no reference (a started ``multiprocessing.Process``
-drops its arguments). The service also lets go of its engine, and with
-it the engine's memo of the recordings, as ``prepare`` ends, so the
-serving parent holds only the views, controllers, and telemetry. The
-flip side: the parent has no fork-time copy of a worker's sessions, so
-respawning a dead worker means rebuilding its sessions, not re-forking
-them.
+Ownership: sessions are built where they run. ``start`` takes one
+:class:`~repro.serve.session.SessionSpec` per session (id, recording
+config, window size) and the service's engine; ``collect_builds``
+answers one :class:`~repro.serve.session.SessionBuild` per session
+(feature counts, recording name, build seconds), from which the
+service builds its event-loop views. Both backends build through
+:func:`~repro.serve.session.build_sessions`. The thread backend builds
+on the calling thread inside ``collect_builds`` and keeps the
+estimators in-process; the process backend forks its workers in
+``start``, and each worker synthesizes and bootstraps the sessions it
+owns while the parent does its own set-up, so the serving parent never
+holds a session's recording or estimator, not even during set-up. The
+service lets go of its engine as ``prepare`` ends. A build that fails
+comes back as a :class:`ServeError` naming the session and the cause,
+and a worker that dies while building raises one that says so.
+Respawning a dead worker means running the same build path for its
+sessions again.
 
 Determinism contract: batch composition, admission, and all virtual-time
 accounting stay in the single-threaded event loop. A backend only
@@ -44,7 +48,14 @@ import multiprocessing
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import ConfigurationError, ReproError, ServeError
-from repro.serve.session import SessionEstimator, WindowOutcome, WindowRequest
+from repro.serve.session import (
+    SessionBuild,
+    SessionEstimator,
+    SessionSpec,
+    WindowOutcome,
+    WindowRequest,
+    build_sessions,
+)
 
 BACKENDS = ("thread", "process")
 
@@ -77,11 +88,21 @@ class ThreadBackend:
             raise ConfigurationError("thread backend needs >= 1 worker")
         self.workers = workers
         self._estimators: dict[int, SessionEstimator] = {}
+        self._pending: tuple[list[SessionSpec], object] | None = None
         self._executor: ThreadPoolExecutor | None = None
 
-    def start(self, estimators: dict[int, SessionEstimator]) -> None:
-        self._estimators = estimators
+    def start(self, specs: list[SessionSpec], engine) -> None:
+        """Take the sessions' build specs; :meth:`collect_builds` builds
+        them on the calling thread."""
+        self._pending = (list(specs), engine)
         self._executor = ThreadPoolExecutor(max_workers=self.workers)
+
+    def collect_builds(self) -> list[SessionBuild]:
+        """Build every session in spec order, then drop the engine."""
+        specs, engine = self._pending
+        self._pending = None
+        self._estimators, builds = build_sessions(specs, engine)
+        return builds
 
     def shed(self, session_id: int, frame_id: int) -> None:
         self._estimators[session_id].shed(frame_id)
@@ -104,31 +125,39 @@ class ThreadBackend:
             self._executor = None
 
 
-def _worker_loop(
-    conn, parent_ends, estimators: dict[int, SessionEstimator]
-) -> None:
-    """Body of one forked worker: owns a subset of session estimators
-    until told to stop or until its parent goes away.
+def _worker_loop(conn, parent_ends, specs: list[SessionSpec], engine) -> None:
+    """Body of one forked worker: builds the sessions it owns, then
+    serves their steps until told to stop or until its parent goes away.
 
-    The ``fork`` start method hands the built estimators over by memory
-    inheritance (no pickling of estimator state); the parent keeps no
-    reference, so the worker's copies are the only ones. Commands arrive
-    on a FIFO pipe and are served strictly in order — which is what
-    makes per-session estimator steps apply in exactly the event-loop
-    order. A command that raises is answered with the exception's type
-    and message, so the parent's :class:`ServeError` names the cause.
+    The worker synthesizes and bootstraps its sessions through its
+    fork-time copy of the service's engine and answers the build
+    (``("built", [SessionBuild, ...])``, or ``("error", detail)`` naming
+    the session and the cause, after which it exits), so the parent
+    never holds the sessions' recordings. Its copies are the only ones.
+    Commands arrive on a FIFO pipe and are served strictly in order —
+    which is what makes per-session estimator steps apply in exactly
+    the event-loop order. A command that raises is answered with the
+    exception's type and message, so the parent's :class:`ServeError`
+    names the cause.
 
     The fork also copies the parent's ends of this backend's pipes, and
     a copy held here would keep the worker's own pipe open forever; the
     worker closes them first. When the parent then closes its end
     without sending STOP (it dropped the backend, or it died), ``recv``
-    raises ``EOFError`` and the worker exits quietly. (Workers that
-    another backend forks later in the same parent hold copies too; the
-    EOF then waits for them to exit.)
+    raises ``EOFError``, or an answer finds the pipe broken, and the
+    worker exits quietly. (Workers that another backend forks later in
+    the same parent hold copies too; the EOF then waits for them to
+    exit.)
     """
     for end in parent_ends:
         end.close()
     try:
+        try:
+            estimators, builds = build_sessions(specs, engine)
+        except ServeError as error:
+            conn.send(("error", str(error)))
+            return
+        conn.send(("built", builds))
         while True:
             try:
                 message = conn.recv()
@@ -157,6 +186,8 @@ def _worker_loop(
                     conn.send(("results", outcomes))
             else:
                 conn.send(("error", f"unknown command {kind!r}"))
+    except BrokenPipeError:
+        pass  # the parent closed its end before an answer: nothing to tell
     finally:
         conn.close()
 
@@ -167,8 +198,8 @@ class ProcessBackend:
     Sessions are assigned ``sid -> worker[sid % workers]``; the mapping
     is a pure function of the session id, so it is identical across
     runs, across worker counts that divide the same way, and across the
-    fleet/standalone split. After fork the *worker's* copy of a session
-    estimator is the only one: the parent must route every
+    fleet/standalone split. Each worker builds the sessions it owns, so
+    its estimators are the only ones: the parent must route every
     estimator-mutating step (execute *and* shed) through this backend.
     """
 
@@ -190,20 +221,19 @@ class ProcessBackend:
     def _worker_of(self, session_id: int) -> int:
         return session_id % self.workers
 
-    def start(self, estimators: dict[int, SessionEstimator]) -> None:
+    def start(self, specs: list[SessionSpec], engine) -> None:
+        """Fork the workers, each with the specs of the sessions it owns;
+        they start building at once."""
         context = multiprocessing.get_context("fork")
-        self._owned = [[] for _ in range(self.workers)]
-        for sid in sorted(estimators):
-            self._owned[self._worker_of(sid)].append(sid)
-        for owned in self._owned:
+        owned: list[list[SessionSpec]] = [[] for _ in range(self.workers)]
+        for spec in sorted(specs, key=lambda spec: spec.session_id):
+            owned[self._worker_of(spec.session_id)].append(spec)
+        self._owned = [[spec.session_id for spec in mine] for mine in owned]
+        for mine in owned:
             parent_conn, child_conn = context.Pipe()
             proc = context.Process(
                 target=_worker_loop,
-                args=(
-                    child_conn,
-                    [*self._pipes, parent_conn],
-                    {sid: estimators[sid] for sid in owned},
-                ),
+                args=(child_conn, [*self._pipes, parent_conn], mine, engine),
                 daemon=True,
             )
             proc.start()
@@ -211,12 +241,22 @@ class ProcessBackend:
             self._pipes.append(parent_conn)
             self._procs.append(proc)
 
-    def _recv(self, worker: int):
+    def collect_builds(self) -> list[SessionBuild]:
+        """Wait for every worker's build answer; session-id order."""
+        builds = []
+        for worker, owned in enumerate(self._owned):
+            status, payload = self._recv(worker, f"while building sessions {owned}")
+            if status != "built":
+                raise ServeError(payload)
+            builds.extend(payload)
+        return sorted(builds, key=lambda build: build.session_id)
+
+    def _recv(self, worker: int, during: str = "mid-run"):
         try:
             return self._pipes[worker].recv()
         except (EOFError, OSError) as error:
             raise ServeError(
-                f"execution worker {worker} died mid-run: {error}"
+                f"execution worker {worker} died {during}: {error!r}"
             ) from error
 
     def shed(self, session_id: int, frame_id: int) -> None:

@@ -17,7 +17,9 @@ arrival streams, engine memo, and plan caches:
   (:mod:`repro.serve.backend`). With ``backend="process"`` the NLS
   numerics of different shards run in different OS processes — the
   fleet finally uses all host cores — while the thread backend remains
-  the byte-exact small-scale oracle.
+  the byte-exact small-scale oracle. Set-up uses the cores too: every
+  shard is started (its workers forked, building their own sessions)
+  before any shard is prepared.
 * **Correctness anchor**: because shards share nothing, an N-shard fleet
   run over a session set *is* the union of N single-shard runs — each
   shard's ``SERVE_METRICS.json`` is byte-identical to running its
@@ -454,11 +456,15 @@ def run_fleet(
     engine_factory = engine_factory or (lambda: Engine(use_disk=False))
     specs = plan_shards(profile, num_shards, drained=drained)
     started = time.perf_counter()
-    # Build + fork sequentially on the calling thread (fork safety),
-    # then run every shard's event loop on its own thread. Thread
-    # backends stay GIL-bound (the oracle); process backends put each
-    # shard's numerics on separate cores. A failed prepare stops the
-    # workers of every shard started so far, its own included.
+    # Start every shard, then prepare each, all on the calling thread:
+    # a process backend forks its workers at start and they build their
+    # sessions while the parent starts the next shard and prepares the
+    # first, so shards build side by side; forking happens before any
+    # shard loop thread exists. Then every shard's event loop runs on
+    # its own thread. Thread backends stay GIL-bound (the oracle);
+    # process backends put each shard's numerics on separate cores. A
+    # failed start or prepare stops the workers of every shard started
+    # so far, its own included.
     live: list[tuple[ShardSpec, LocalizationService]] = []
     try:
         for spec in specs:
@@ -473,6 +479,8 @@ def run_fleet(
                 workers=workers,
             )
             live.append((spec, service))
+            service.start()
+        for _, service in live:
             service.prepare()
     except BaseException:
         for _, service in live:

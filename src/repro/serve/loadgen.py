@@ -286,7 +286,7 @@ PROFILES: dict[str, LoadProfile] = {
     "portfolio-mixed": _profile(
         "portfolio-mixed",
         "8 robots over the mixed degenerate regimes on a 4-instance "
-        "portfolio fleet with config-aware routing",
+        "portfolio fleet served earliest-deadline-first",
         num_sessions=8,
         num_instances=4,
         rate_hz=4.0,

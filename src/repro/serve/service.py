@@ -55,7 +55,8 @@ from repro.serve.loadgen import (
 from repro.serve.scheduler import Admission, Scheduler
 from repro.serve.session import (
     Session,
-    SessionEstimator,
+    SessionBuild,
+    SessionSpec,
     SessionState,
     WindowRequest,
 )
@@ -79,9 +80,13 @@ class ServeReport:
     cache_line: str  # live engine stats (stdout only — disk-state dependent)
     wall_seconds: float  # stdout only — never part of the metrics file
     trace: Trace | None = None  # virtual-time spans; deterministic
-    # Wall-clock split (stdout/bench only): session build + backend
-    # start vs the event loop itself. wall_seconds is their sum.
+    # Wall-clock split (stdout/bench only): set-up (the start step plus
+    # prepare) vs the event loop itself. wall_seconds is their sum.
     prepare_seconds: float = 0.0
+    # Each session's build wall seconds on whatever built it (a process
+    # worker, or the calling thread), by session id. Host timing: never
+    # part of the metrics file.
+    build_seconds: dict[int, float] | None = None
 
     def write_metrics(self, path: str | Path) -> Path:
         return export_metrics(self.metrics, path)
@@ -185,16 +190,18 @@ class LocalizationService:
         self._events: list[tuple[float, int, str, int]] = []
         self._prepared = False
         self._backend = None
+        self._start_seconds = 0.0
 
     # ------------------------------------------------------------------
     # Setup
     # ------------------------------------------------------------------
 
-    def _build(self) -> dict[int, SessionEstimator]:
-        """Build the event loop's state and each session's estimator.
+    def _setup(self) -> RuntimeController:
+        """The parent's half of set-up: everything but the sessions.
 
-        The views, controllers, pool, scheduler and telemetry stay on the
-        service; the returned estimators are for the backend alone.
+        Design, reconfiguration table, policy, portfolio, pool, scheduler
+        and telemetry; runs while a process backend's workers build.
+        Returns the prototype controller the session views fork from.
         """
         profile = self.profile
         design = named_design(profile.design, self.engine)
@@ -254,24 +261,6 @@ class LocalizationService:
             )
         self._drift_counts: dict[int, int] = {}
 
-        self.sessions: dict[int, Session] = {}
-        estimators: dict[int, SessionEstimator] = {}
-        for sid in self.session_ids:
-            sequence = self.engine.run(
-                SEQUENCE, session_sequence_config(profile, sid)
-            )
-            estimators[sid] = SessionEstimator(
-                session_id=sid, sequence=sequence, window_size=profile.window_size
-            )
-            self.sessions[sid] = Session(
-                session_id=sid,
-                controller=prototype.for_session(),
-                feature_counts=tuple(
-                    frame.num_features for frame in sequence.observations
-                ),
-                recording=sequence.config.name,
-            )
-
         self.pool: list[AcceleratorInstance] = make_pool(
             profile.num_instances, fidelity=self.fidelity, configs=pool_configs
         )
@@ -295,9 +284,23 @@ class LocalizationService:
         if self.shard_id is not None:
             trace_name = f"{trace_name}:shard{self.shard_id}"
         self.trace = Trace(clock=CLOCK_VIRTUAL, name=trace_name)
-        for session in self.sessions.values():
-            self.telemetry.session(session.session_id, session.recording)
+        return prototype
 
+    def _add_sessions(
+        self, builds: list[SessionBuild], prototype: RuntimeController
+    ) -> None:
+        """Build the event loop's views from the backend's build answers
+        (session-id order) and schedule their first arrivals."""
+        profile = self.profile
+        self.sessions: dict[int, Session] = {}
+        for build in builds:
+            self.sessions[build.session_id] = Session(
+                session_id=build.session_id,
+                controller=prototype.for_session(),
+                feature_counts=build.feature_counts,
+                recording=build.recording,
+            )
+            self.telemetry.session(build.session_id, build.recording)
         if profile.arrival == "poisson":
             for session in self.sessions.values():
                 for t in open_loop_arrivals(
@@ -312,7 +315,6 @@ class LocalizationService:
                         _ARRIVAL,
                         session.session_id,
                     )
-        return estimators
 
     def _push_event(self, t: float, kind: str, payload: int) -> None:
         self._event_seq += 1
@@ -322,40 +324,91 @@ class LocalizationService:
     # The event loop
     # ------------------------------------------------------------------
 
+    def start(self) -> None:
+        """First step of set-up: hand every session's build spec to a
+        fresh execution backend (idempotent).
+
+        The process backend forks its workers here, and they start
+        synthesizing their sessions' recordings at once, so
+        :func:`~repro.serve.fleet.run_fleet` calls this for every shard
+        before it prepares any: shards build side by side. Forking from
+        the calling thread before any shard loop starts also keeps fork
+        away from a threaded process. :meth:`prepare` calls it when no
+        one has.
+        """
+        if self._backend is not None:
+            return
+        started = time.perf_counter()
+        profile = self.profile
+        workers = self.workers if self.workers is not None else profile.num_instances
+        self._specs = [
+            SessionSpec(sid, session_sequence_config(profile, sid), profile.window_size)
+            for sid in self.session_ids
+        ]
+        self._backend = make_backend(self.backend_name, max(1, workers))
+        self._backend.start(self._specs, self.engine)
+        self._start_seconds = time.perf_counter() - started
+
     def prepare(self) -> None:
-        """Build sessions and start the execution backend.
+        """Finish set-up: the parent's half, then the sessions' builds.
 
         Split from :meth:`run` so :func:`~repro.serve.fleet.run_fleet`
-        can fork process workers from the main thread (before shard event
-        loops start on threads) — forking from a threaded process is a
-        footgun.
+        can start and prepare every shard from the main thread before
+        shard event loops start on threads. Sessions are built where they
+        run: the backend builds them (a process backend in its workers,
+        which began at :meth:`start`) while this thread designs the pool,
+        and the service keeps only the views built from the answers. A
+        failure here stops the backend's workers before it propagates.
 
         The run phase fetches no artifact, so the engine's part ends
         here: its cache numbers and stats line are read, and the service
-        lets go of it. A fleet shard's private engine, and its memo of
-        the shard's recordings, is then freed before the next shard
-        synthesizes and forks.
+        lets go of it. A fleet shard's private engine, and its memo, is
+        then freed before the next shard prepares.
         """
         if self._prepared:
             return
-        prep_started = time.perf_counter()
-        stats = self.engine.stats
-        memo_before = stats.memory_hits
-        distinct_before = stats.computed + stats.disk_hits
-        estimators = self._build()
-        workers = self.workers if self.workers is not None else len(self.pool)
-        self._backend = make_backend(self.backend_name, max(1, workers))
-        self._backend.start(estimators)
+        try:
+            self.start()
+            prep_started = time.perf_counter()
+            stats = self.engine.stats
+            memo_before = stats.memory_hits
+            distinct_before = stats.computed + stats.disk_hits
+            prototype = self._setup()
+            memo_hits = stats.memory_hits - memo_before
+            distinct = stats.computed + stats.disk_hits - distinct_before
+            # Recordings count in session order as this engine serves
+            # them to a thread backend, whichever process builds them: a
+            # key's first occurrence is distinct unless the engine holds
+            # it already, and every repeat is a memo hit. Counted before
+            # the builds, which a thread backend runs through this engine.
+            seen: set[str] = set()
+            for spec in self._specs:
+                key = self.engine.key_for(SEQUENCE, spec.sequence)
+                if key in seen or self.engine.memoized(key):
+                    memo_hits += 1
+                else:
+                    distinct += 1
+                seen.add(key)
+            builds = self._backend.collect_builds()
+            self._add_sessions(builds, prototype)
+        except BaseException:
+            self.close()
+            raise
         # Only run-invariant cache numbers belong in the metrics: blob-level
         # disk counters depend on whether a previous run warmed the cache,
         # and SERVE_METRICS.json must be byte-identical across repeats.
-        self._cache = {
-            "memo_hits": stats.memory_hits - memo_before,
-            "distinct_artifacts": stats.computed + stats.disk_hits - distinct_before,
-        }
+        self._cache = {"memo_hits": memo_hits, "distinct_artifacts": distinct}
         self._cache_line = self.engine.stats_line()
+        if self._backend.name == "process":
+            self._cache_line += (
+                f" + {len(builds)} recording(s) built in "
+                f"{self._backend.workers} worker process(es)"
+            )
+        self._build_seconds = {build.session_id: build.seconds for build in builds}
         self.engine = None
-        self.prepare_seconds = time.perf_counter() - prep_started
+        self.prepare_seconds = self._start_seconds + (
+            time.perf_counter() - prep_started
+        )
         self._prepared = True
 
     def close(self) -> None:
@@ -407,6 +460,7 @@ class LocalizationService:
             wall_seconds=wall + self.prepare_seconds,
             trace=self.trace,
             prepare_seconds=self.prepare_seconds,
+            build_seconds=self._build_seconds,
         )
 
     def _on_complete(self, t: float, session: Session) -> None:

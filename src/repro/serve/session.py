@@ -15,16 +15,17 @@ name, its per-keyframe front-end feature counts, and the pending
 backlog of arrived-but-not-yet-submitted windows. It holds no recording
 and no estimator, so it can be built from counts alone.
 
-The numerics live in a :class:`SessionEstimator`: the recording, the
-:class:`SlidingWindowEstimator` bootstrapped on frame 0, and the
-:class:`RunResult` it accumulates. The service builds both in the
-serving parent (synthesis and the bootstrap run there) and hands only
-the estimators to its execution backend (:mod:`repro.serve.backend`),
-which is from then on their sole owner: the parent holds only the
-views. The engine that synthesized the recordings lives only through
-``LocalizationService.prepare``, and the parent keeps no fork-time copy
-of a process worker's estimators, so respawning a worker means
-rebuilding its sessions.
+The numerics live in a :class:`SessionEstimator`: the recording and
+the :class:`SlidingWindowEstimator` bootstrapped on frame 0. Sessions
+are built where they run: the service hands its execution backend
+(:mod:`repro.serve.backend`) one :class:`SessionSpec` per session, and
+the backend builds them through :func:`build_sessions` — on the calling
+thread for the thread backend, inside the forked worker that owns the
+session for the process backend — and answers a :class:`SessionBuild`
+(feature counts and recording name) from which the service builds its
+view. A process-backend parent therefore never holds a session's
+recording, not even during set-up, and respawning a worker means
+running the same build path again.
 
 Thread-safety model: the event loop mutates a view only while its
 session is *not* INFLIGHT; while INFLIGHT, exactly one backend worker
@@ -36,12 +37,14 @@ needs a lock — the scheduler's single-inflight-window-per-session rule
 from __future__ import annotations
 
 import enum
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NoReturn
 
-from repro.data.sequences import Sequence
+from repro.data.sequences import Sequence, SequenceConfig
 from repro.data.stats import WindowStats
+from repro.engine import SEQUENCE
 from repro.errors import ServeError
 from repro.hw.config import HardwareConfig
 from repro.runtime.controller import RuntimeController
@@ -227,19 +230,21 @@ class Session:
 
 @dataclass
 class SessionEstimator:
-    """One session's numerics: the recording, the estimator fed keyframe
-    by keyframe, and the run it accumulates.
+    """One session's numerics: the recording and the estimator fed
+    keyframe by keyframe.
 
-    Construction bootstraps the estimator on frame 0 synchronously. The
-    serving parent builds it (so set-up runs on the parent's warm heap)
-    and hands it to the execution backend, which alone keeps it.
+    Construction bootstraps the estimator on frame 0 synchronously.
+    :func:`build_sessions` constructs it wherever the session will run,
+    and the execution backend alone keeps it. Each step records into a
+    throwaway :class:`RunResult`: a served window's outcome reads only
+    the returned :class:`WindowResult`, so a long-lived session keeps no
+    per-window history.
     """
 
     session_id: int
     sequence: Sequence
     window_size: int = 6
     estimator: SlidingWindowEstimator = field(init=False)
-    result: RunResult = field(init=False)
 
     def __post_init__(self) -> None:
         self.estimator = SlidingWindowEstimator(
@@ -247,21 +252,21 @@ class SessionEstimator:
                 window_size=self.window_size, lm=LMConfig(), seed=self.session_id
             )
         )
-        self.result = self.estimator.start(self.sequence)
-        self.estimator.step(self.sequence, 0, self.result)
+        self.estimator.start(self.sequence)
+        self.estimator.step(self.sequence, 0, RunResult())
 
     def shed(self, frame_id: int) -> None:
         """Admission control dropped this window: ingest the keyframe
         (dead-reckoning keeps the state chain consistent) but skip the
         accelerator's optimization entirely."""
-        self.estimator.step(self.sequence, frame_id, self.result, skip_optimize=True)
+        self.estimator.step(self.sequence, frame_id, RunResult(), skip_optimize=True)
 
     def execute(self, request: WindowRequest) -> WindowResult:
         """Run the window optimization the accelerator would perform."""
         window = self.estimator.step(
             self.sequence,
             request.frame_id,
-            self.result,
+            RunResult(),
             iteration_cap=request.iterations,
         )
         if window is None:
@@ -270,3 +275,64 @@ class SessionEstimator:
                 "produced no window result"
             )
         return window
+
+
+@dataclass(frozen=True)
+class SessionSpec:
+    """What a backend needs to build one session where it will run."""
+
+    session_id: int
+    sequence: SequenceConfig
+    window_size: int
+
+
+@dataclass(slots=True)
+class SessionBuild:
+    """A backend's answer for one built session.
+
+    What the event loop's :class:`Session` view reads — the
+    per-keyframe feature counts and the recording's name — plus the
+    builder's wall seconds for synthesis and bootstrap.
+    """
+
+    session_id: int
+    recording: str
+    feature_counts: tuple[int, ...]
+    seconds: float
+
+
+def build_sessions(
+    specs: list[SessionSpec], engine
+) -> tuple[dict[int, SessionEstimator], list[SessionBuild]]:
+    """Synthesize each spec's recording through ``engine`` and bootstrap
+    its estimator, in spec order: the one build path of every backend.
+
+    A failure is raised as a :class:`ServeError` that names the session
+    and the cause, so it reads the same from a thread or across a
+    worker's pipe.
+    """
+    estimators: dict[int, SessionEstimator] = {}
+    builds = []
+    for spec in specs:
+        started = time.perf_counter()
+        try:
+            sequence = engine.run(SEQUENCE, spec.sequence)
+            estimators[spec.session_id] = SessionEstimator(
+                spec.session_id, sequence, spec.window_size
+            )
+        except Exception as error:  # noqa: BLE001 — named for the parent
+            raise ServeError(
+                f"building session {spec.session_id} failed: "
+                f"{type(error).__name__}: {error}"
+            ) from error
+        builds.append(
+            SessionBuild(
+                session_id=spec.session_id,
+                recording=sequence.config.name,
+                feature_counts=tuple(
+                    frame.num_features for frame in sequence.observations
+                ),
+                seconds=time.perf_counter() - started,
+            )
+        )
+    return estimators, builds

@@ -480,7 +480,14 @@ class SlidingWindowEstimator:
         self.priors = [p for p in self.priors if oldest not in p.frame_ids]
         if marg.prior is not None:
             self.priors.append(marg.prior)
-        for fid in marg.marginalized_features:
-            self.features.pop(fid, None)
+        # Every record anchored at the departing frame goes, marginalized
+        # or not: a feature sighted once would otherwise stay forever, and
+        # a later sighting re-anchors a record whose anchor left exactly
+        # as it anchors a new one.
+        self.features = {
+            fid: record
+            for fid, record in self.features.items()
+            if record.anchor != oldest
+        }
         self.states.pop(oldest)
         self._frame_order.pop(0)

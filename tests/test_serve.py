@@ -198,7 +198,8 @@ class TestSessionStateMachine:
         service = LocalizationService(
             mini_profile(num_sessions=1), engine=Engine(use_disk=False)
         )
-        service._build()
+        service.prepare()
+        service.close()
         return service
 
     def test_arrival_and_backlog_ordering(self, service):

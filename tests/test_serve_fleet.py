@@ -17,7 +17,9 @@ The load-bearing properties:
 import gc
 import json
 import multiprocessing
+import os
 import pickle
+import signal
 import time
 import types
 import weakref
@@ -26,7 +28,7 @@ from dataclasses import replace
 import pytest
 
 from repro.data.sequences import Sequence
-from repro.engine import Engine
+from repro.engine import SEQUENCE, Engine
 from repro.errors import ConfigurationError, ServeError
 from repro.runtime.controller import RuntimeController
 from repro.runtime.profiler import IterationTable
@@ -43,9 +45,11 @@ from repro.serve import (
     run_fleet,
     shard_service,
 )
+import repro.serve.backend as backend_module
 from repro.serve.backend import ProcessBackend
+from repro.serve.loadgen import session_sequence_config
 from repro.serve.service import LocalizationService
-from repro.serve.session import SessionEstimator
+from repro.serve.session import SessionBuild, SessionEstimator, SessionSpec
 from repro.slam.estimator import SlidingWindowEstimator
 from tests.test_serve import assert_obs_matches_metrics
 
@@ -310,7 +314,54 @@ class TestBackends:
             process.metrics, sort_keys=True
         )
 
-    def test_worker_exception_is_named_in_serve_error(self):
+    def test_cache_counts_match_thread_when_recordings_repeat_across_workers(self):
+        """The catalog cycles every 16 sessions, so sessions 16 and 17
+        repeat 0 and 1 — on other workers. The process backend must still
+        count them as the thread oracle's one engine does: memo hits."""
+        profile = replace(resolve_profile("smoke"), num_sessions=18, duration_s=2.0)
+        thread, process = (
+            LocalizationService(
+                profile, engine=Engine(use_disk=False), backend=backend, workers=3
+            ).run()
+            for backend in ("thread", "process")
+        )
+        assert thread.metrics["cache"] == {"memo_hits": 3, "distinct_artifacts": 17}
+        assert json.dumps(thread.metrics, sort_keys=True) == json.dumps(
+            process.metrics, sort_keys=True
+        )
+        assert sorted(process.build_seconds) == list(range(18))
+        assert "built in 3 worker process(es)" in process.cache_line
+
+    def test_cache_counts_match_thread_when_setup_fetched_a_recording(self, monkeypatch):
+        """Set-up may fetch a session's own recording through the
+        service's engine after a process backend forked (training the
+        default policy does). The worker then synthesizes it again, but
+        the shard counts it as the thread oracle's engine serves it: a
+        memo hit."""
+        setup = LocalizationService._setup
+
+        def setup_fetching_session_0(self):
+            self.engine.run(SEQUENCE, session_sequence_config(self.profile, 0))
+            return setup(self)
+
+        profile = fleet_profile(num_sessions=3)
+        plain = LocalizationService(profile, engine=Engine(use_disk=False)).run()
+        monkeypatch.setattr(LocalizationService, "_setup", setup_fetching_session_0)
+        thread, process = (
+            LocalizationService(
+                profile, engine=Engine(use_disk=False), backend=backend
+            ).run()
+            for backend in ("thread", "process")
+        )
+        assert thread.metrics["cache"] == {
+            "memo_hits": plain.metrics["cache"]["memo_hits"] + 1,
+            "distinct_artifacts": plain.metrics["cache"]["distinct_artifacts"],
+        }
+        assert json.dumps(thread.metrics, sort_keys=True) == json.dumps(
+            process.metrics, sort_keys=True
+        )
+
+    def test_worker_exception_is_named_in_serve_error(self, monkeypatch):
         """An untyped exception inside a worker's run must reach the
         parent as a ServeError naming it, not as a dead pipe."""
 
@@ -318,10 +369,18 @@ class TestBackends:
             def execute(self, request):
                 raise ValueError("boom")
 
+        def build_broken(specs, engine):
+            return {spec.session_id: BrokenSession() for spec in specs}, [
+                SessionBuild(spec.session_id, "broken", (0, 0), 0.0)
+                for spec in specs
+            ]
+
+        monkeypatch.setattr(backend_module, "build_sessions", build_broken)
         backend = ProcessBackend(1)
-        backend.start({0: BrokenSession()})
+        backend.start([SessionSpec(0, None, 6)], engine=None)
         procs = list(backend._procs)
         try:
+            assert [build.recording for build in backend.collect_builds()] == ["broken"]
             with pytest.raises(ServeError, match="ValueError: boom"):
                 backend.run_jobs([
                     WindowRequest(
@@ -335,11 +394,21 @@ class TestBackends:
         assert not any(proc.is_alive() for proc in procs)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parent_keeps_only_event_loop_views(self, backend):
+    def test_parent_keeps_only_event_loop_views(self, backend, monkeypatch):
         """After prepare the service has let go of its engine (and the
         engine's memo of the recordings), and the session numerics live
         in the backend alone: in-process for the thread backend, only in
-        the forked workers for the process backend."""
+        the forked workers for the process backend — which also built
+        them, so the parent never constructed a recording or an
+        estimator at all."""
+        constructed = []
+        for cls in (Sequence, SessionEstimator):
+
+            def counting_init(self, *args, _init=cls.__init__, **kwargs):
+                constructed.append((os.getpid(), type(self).__name__))
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
         engine = Engine(use_disk=False)
         engine_ref = weakref.ref(engine)
         service = LocalizationService(
@@ -357,6 +426,11 @@ class TestBackends:
                 else set()
             )
             assert reachable_numerics(service._backend) == expected
+            in_parent = [name for pid, name in constructed if pid == os.getpid()]
+            if backend == "thread":
+                assert sorted(in_parent) == ["Sequence"] * 2 + ["SessionEstimator"] * 2
+            else:
+                assert in_parent == []
         finally:
             service.close()
 
@@ -365,7 +439,7 @@ class TestBackends:
         closed without STOP (a dropped backend, a dead parent), the
         worker sees EOF and exits."""
         backend = ProcessBackend(1)
-        backend.start({})
+        backend.start([], engine=None)
         proc = backend._procs[0]
         try:
             backend._pipes[0].close()
@@ -410,6 +484,65 @@ class TestFleetFailure:
             lambda: not set(multiprocessing.active_children()) - before
         )
         assert excinfo.type is RuntimeError
+
+
+def fail_build_of(monkeypatch, session_id, action):
+    """Run ``action`` whenever session ``session_id``'s estimator is
+    bootstrapped (in a worker, under the process backend)."""
+    bootstrap = SessionEstimator.__post_init__
+
+    def patched(self):
+        if self.session_id == session_id:
+            action()
+        bootstrap(self)
+
+    monkeypatch.setattr(SessionEstimator, "__post_init__", patched)
+
+
+class TestBuildFailure:
+    """Sessions are built in the workers; a failed or dead build must
+    fail set-up with a ServeError that names it, and leave no worker of
+    any started shard behind."""
+
+    def test_failed_build_is_named_and_stops_every_worker(self, monkeypatch):
+        def fail():
+            raise RuntimeError("injected build failure")
+
+        fail_build_of(monkeypatch, 1, fail)
+        message = "building session 1 failed: RuntimeError: injected build failure"
+        for backend in ("thread", "process"):
+            service = LocalizationService(
+                fleet_profile(num_sessions=3),
+                engine=Engine(use_disk=False),
+                backend=backend,
+                workers=2,
+            )
+            with pytest.raises(ServeError, match=message):
+                service.prepare()
+            assert multiprocessing.active_children() == []
+        with pytest.raises(ServeError, match=message):
+            run_fleet(fleet_profile(), 2, backend="process")
+        assert multiprocessing.active_children() == []
+
+    def test_worker_killed_during_build_raises(self, monkeypatch):
+        parent = os.getpid()
+
+        def die():
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        fail_build_of(monkeypatch, 1, die)
+        service = LocalizationService(
+            fleet_profile(num_sessions=3),
+            engine=Engine(use_disk=False),
+            backend="process",
+            workers=2,
+        )
+        with pytest.raises(
+            ServeError, match=r"execution worker 1 died while building sessions \[1\]"
+        ):
+            service.prepare()
+        assert multiprocessing.active_children() == []
 
 
 def scenario_fleet_profile(regime, **overrides):

@@ -1,4 +1,5 @@
-"""Generated event sequences over the event loop's session view.
+"""Generated event sequences over the event loop's session view, and
+the bounded state of the session's numerics.
 
 A :class:`~repro.serve.session.Session` holds no recording and no
 estimator, so the state machine runs on counts alone. Its rules are the
@@ -6,7 +7,14 @@ calls the service's event loop makes: arrivals, take-then-shed (a
 backlog trim or an admission shed), take-then-dispatch, completion, and
 ``maybe_drain``. Illegal transitions must raise :class:`ServeError` and
 leave the session as it was.
+
+A :class:`~repro.serve.session.SessionEstimator` lives as long as its
+robot's session, so what it keeps must not grow with the windows served.
 """
+
+import gc
+import tracemalloc
+from dataclasses import replace
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -18,8 +26,15 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.data.sequences import EUROC_SEQUENCES
+from repro.engine import SEQUENCE, Engine
 from repro.errors import ServeError
-from repro.serve.session import Session, SessionState
+from repro.serve.session import (
+    Session,
+    SessionEstimator,
+    SessionState,
+    WindowRequest,
+)
 
 
 class SessionMachine(RuleBasedStateMachine):
@@ -144,3 +159,31 @@ SessionMachine.TestCase.settings = settings(
     max_examples=200, stateful_step_count=40, deadline=None
 )
 TestSessionMachine = SessionMachine.TestCase
+
+
+def test_session_estimator_state_is_bounded():
+    """What a session retains after 200 windows is what it retained
+    after 20: it keeps no record of the windows it served, and no record
+    of a feature whose anchor frame has left the window."""
+    recording = replace(EUROC_SEQUENCES["MH_03"], duration=40.2)
+    sequence = Engine(use_disk=False).run(SEQUENCE, recording)
+    assert sequence.num_keyframes > 200
+    retained = {}
+    tracemalloc.start()
+    try:
+        session = SessionEstimator(0, sequence, window_size=3)
+        for frame_id in range(1, 201):
+            session.execute(
+                WindowRequest(
+                    session_id=0, frame_id=frame_id, ready_time=0.0,
+                    deadline=1.0, iterations=1, config=None,
+                    reconfigured=False, degraded=False, seq=frame_id,
+                )
+            )
+            if frame_id in (20, 200):
+                gc.collect()
+                retained[frame_id] = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # Less than 180 windows' worth of one window record (~350 B).
+    assert retained[200] - retained[20] < 180 * 350
