@@ -39,7 +39,7 @@ def main() -> None:
     config = sequence_config("euroc", "MH_03", duration)
     sequence = engine.run(SEQUENCE, config)
     print(f"sequence MH_03: {sequence.num_keyframes} keyframes, "
-          f"{len(sequence.landmarks)} landmarks")
+          f"{int(sequence.feature_counts().sum())} feature observations")
 
     # The static accelerator design.
     design = named_design("High-Perf", engine)

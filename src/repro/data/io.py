@@ -3,7 +3,11 @@
 Lets expensive sequences be generated once and shared between
 experiment runs or exported for external tools. Everything needed to
 reproduce the run is stored — configuration, ground truth, observations,
-IMU streams, landmarks — in a single compressed archive.
+IMU streams — in a single compressed archive. Format version 2 dropped
+version 1's landmark field, which only synthesis reads
+(:mod:`repro.data.sequences`); a version-1 archive is rejected, and
+re-synthesizing from its configuration gives every other array
+byte for byte.
 
 The array-level codec (:func:`sequence_to_arrays` /
 :func:`sequence_from_arrays`) is exposed separately from the file I/O so
@@ -29,7 +33,7 @@ from repro.geometry.navstate import NavState
 from repro.geometry.se3 import SE3
 from repro.imu.noise import ImuNoise
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 def sequence_to_arrays(sequence: Sequence) -> dict[str, np.ndarray]:
@@ -51,7 +55,6 @@ def sequence_to_arrays(sequence: Sequence) -> dict[str, np.ndarray]:
 
     arrays: dict[str, np.ndarray] = {
         "timestamps": sequence.timestamps,
-        "landmarks": sequence.landmarks,
         "true_bias_gyro": sequence.true_bias_gyro,
         "true_bias_accel": sequence.true_bias_accel,
         "meta_json": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
@@ -82,7 +85,8 @@ def sequence_from_arrays(data: Mapping[str, np.ndarray]) -> Sequence:
     meta = json.loads(bytes(np.asarray(data["meta_json"])).decode())
     if meta.get("version") != _FORMAT_VERSION:
         raise DataError(
-            f"unsupported sequence format version {meta.get('version')!r}"
+            f"unsupported sequence format version {meta.get('version')!r} "
+            f"(this build reads version {_FORMAT_VERSION})"
         )
     raw = dict(meta["config"])
     config = SequenceConfig(
@@ -126,7 +130,6 @@ def sequence_from_arrays(data: Mapping[str, np.ndarray]) -> Sequence:
         true_states=states,
         observations=observations,
         imu_segments=segments,
-        landmarks=data["landmarks"],
         true_bias_gyro=data["true_bias_gyro"],
         true_bias_accel=data["true_bias_accel"],
     )

@@ -2,9 +2,11 @@
 
 A :class:`Sequence` is the full sensor recording the estimator consumes:
 keyframe timestamps with ground-truth navigation states, per-keyframe
-feature observations from the simulated tracker, raw IMU sample streams
-between consecutive keyframes, and the landmark field (kept for
-evaluation only — the estimator never reads ground truth).
+feature observations from the simulated tracker, and raw IMU sample
+streams between consecutive keyframes. The landmark field the tracker
+observes is synthesis-internal: :func:`make_sequence` hands it to the
+:class:`~repro.data.tracks.FeatureTracker` and lets it go, since nothing
+downstream reads it (it was 65-80% of a car recording's bytes).
 
 ``EUROC_SEQUENCES`` mirrors the five Machine Hall difficulty levels
 (MH_01 easy ... MH_05 difficult — increasing flight aggressiveness) and
@@ -92,7 +94,6 @@ class Sequence:
     true_states: list[NavState]
     observations: list[FrameObservations]
     imu_segments: list[ImuSegment]  # B - 1 segments
-    landmarks: np.ndarray  # (M, 3)
     true_bias_gyro: np.ndarray
     true_bias_accel: np.ndarray
 
@@ -125,19 +126,7 @@ def make_sequence(config: SequenceConfig) -> Sequence:
     imu_rng = rng_from_seed(split_seed(config.seed, f"{config.name}:imu"))
 
     trajectory = _make_trajectory(config, traj_rng)
-    spread = (
-        dict(lateral_spread=4.0, vertical_spread=2.0, forward_spread=4.0)
-        if config.kind == "drone"
-        else dict(lateral_spread=14.0, vertical_spread=4.0, forward_spread=6.0)
-    )
-    landmarks = make_landmarks(
-        trajectory,
-        config.duration,
-        land_rng,
-        count=config.landmark_count,
-        density=density_profile(config.density_period, config.density_floor),
-        **spread,
-    )
+    landmarks = _landmark_field(config, trajectory, land_rng)
 
     num_keyframes = int(np.floor(config.duration * config.keyframe_rate)) + 1
     timestamps = np.arange(num_keyframes) / config.keyframe_rate
@@ -164,6 +153,8 @@ def make_sequence(config: SequenceConfig) -> Sequence:
         tracker.observe(frame_id, state.pose)
         for frame_id, state in enumerate(true_states)
     ]
+    # Only the tracker reads the landmark field; it goes with the tracker.
+    del landmarks, tracker
 
     imu_segments = _synthesize_imu(
         trajectory, timestamps, config, true_bias_gyro, true_bias_accel, imu_rng
@@ -175,9 +166,25 @@ def make_sequence(config: SequenceConfig) -> Sequence:
         true_states=true_states,
         observations=observations,
         imu_segments=imu_segments,
-        landmarks=landmarks,
         true_bias_gyro=true_bias_gyro,
         true_bias_accel=true_bias_accel,
+    )
+
+
+def _landmark_field(config: SequenceConfig, trajectory, rng: np.random.Generator) -> np.ndarray:
+    """The ``(M, 3)`` landmark field the tracker observes along ``trajectory``."""
+    spread = (
+        dict(lateral_spread=4.0, vertical_spread=2.0, forward_spread=4.0)
+        if config.kind == "drone"
+        else dict(lateral_spread=14.0, vertical_spread=4.0, forward_spread=6.0)
+    )
+    return make_landmarks(
+        trajectory,
+        config.duration,
+        rng,
+        count=config.landmark_count,
+        density=density_profile(config.density_period, config.density_floor),
+        **spread,
     )
 
 

@@ -159,7 +159,8 @@ def materialize_policy(spec: PolicySpec, engine=None):
 
 class SequenceStage(Stage):
     name = "sequence"
-    version = "1"
+    # v2: the payload drops the landmark field (repro.data.io format 2).
+    version = "2"
 
     def compute(self, config: SequenceConfig, engine):
         del engine

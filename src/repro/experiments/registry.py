@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentResult
 from repro.experiments.fig11_12 import run_fig11, run_fig12
 from repro.experiments.fig13_14 import run_fig13a, run_fig13b, run_fig13c, run_fig14
@@ -25,6 +24,7 @@ from repro.experiments.sec7x import (
     run_sec77_apps,
     run_sec77_fpgas,
 )
+from repro.utils.validation import lookup
 
 EXPERIMENTS: dict[str, Callable[[], ExperimentResult]] = {
     "fig11": run_fig11,
@@ -60,19 +60,7 @@ def available_experiments() -> list[str]:
 
 def run_experiment(experiment_id: str) -> ExperimentResult:
     """Run one registered experiment by id."""
-    if experiment_id not in EXPERIMENTS:
-        import difflib
-
-        close = difflib.get_close_matches(
-            experiment_id, EXPERIMENTS, n=3, cutoff=0.4
-        )
-        hint = (
-            f"; did you mean {' or '.join(repr(c) for c in close)}?"
-            if close
-            else f"; choose from {available_experiments()}"
-        )
-        raise ConfigurationError(f"unknown experiment {experiment_id!r}{hint}")
-    return EXPERIMENTS[experiment_id]()
+    return lookup("experiment", experiment_id, EXPERIMENTS)()
 
 
 def run_experiments(
@@ -84,8 +72,7 @@ def run_experiments(
     results come back in the requested order regardless of worker count.
     """
     for experiment_id in experiment_ids:
-        if experiment_id not in EXPERIMENTS:
-            run_experiment(experiment_id)  # raises with suggestions
+        lookup("experiment", experiment_id, EXPERIMENTS)
     if engine is None:
         from repro.engine import get_engine
 

@@ -309,12 +309,13 @@ class SolverPlanCache:
     One plan per width ``q`` serves every feature count: a lookup refits
     it to the requested ``p`` (:meth:`SolverPlan.fit`). Workspaces are
     mutable, so a plan must never be shared across threads; the cache
-    keys on ``threading.get_ident()`` as well. This keeps the serving
-    tier's worker threads race-free while still giving every thread
-    cross-window reuse. A hit means the width's plan already existed,
-    whether or not the refit had to grow it; the ``hits``/``misses``
-    counters surface in ``BENCH_estimator.json`` and in layerbench's
-    ``linalg.plan_cache.*`` metrics.
+    keys on ``threading.get_ident()`` as well. This keeps concurrent
+    callers (a fleet's shard-loop threads, the engine's parallel runner)
+    race-free while still giving every thread cross-window reuse. A hit
+    means the width's plan already existed, whether or not the refit had
+    to grow it; the ``hits``/``misses`` counters surface in
+    ``BENCH_estimator.json`` and in layerbench's ``linalg.plan_cache.*``
+    metrics.
     """
 
     def __init__(self, max_plans: int = 64) -> None:

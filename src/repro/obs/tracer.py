@@ -10,8 +10,8 @@ explicit times. Two clock disciplines coexist:
   thread.
 * ``clock="virtual"`` — simulated times. The serving tier records its
   queue-wait / batch / service spans this way, so a seeded run exports a
-  byte-identical trace no matter how many worker threads carried the
-  numerics.
+  byte-identical trace no matter which backend, or how many workers,
+  carried the numerics.
 
 Exports: Chrome ``trace_event`` JSON (open in ``chrome://tracing`` or
 Perfetto) and flat JSONL (one span per line, canonical key order —

@@ -24,7 +24,6 @@ portfolio, byte for byte.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,6 +36,7 @@ from repro.scenarios import (
     resolve_scenario,
 )
 from repro.synth.spec import DesignSpec
+from repro.utils.validation import lookup
 
 
 class PortfolioObjective(Enum):
@@ -172,15 +172,7 @@ def resolve_forecast(forecast: str | TrafficForecast) -> TrafficForecast:
     did-you-mean on typos."""
     if isinstance(forecast, TrafficForecast):
         return forecast
-    if forecast not in FORECASTS:
-        close = difflib.get_close_matches(forecast, FORECASTS, n=3, cutoff=0.4)
-        hint = (
-            f"; did you mean {' or '.join(repr(c) for c in close)}?"
-            if close
-            else f"; choose from {available_forecasts()}"
-        )
-        raise ConfigurationError(f"unknown traffic forecast {forecast!r}{hint}")
-    return FORECASTS[forecast]
+    return lookup("traffic forecast", forecast, FORECASTS)
 
 
 # ----------------------------------------------------------------------

@@ -45,6 +45,7 @@ from pathlib import Path
 
 from repro.errors import ConfigurationError
 from repro.runtime.profiler import MAX_ITERATIONS
+from repro.utils.validation import lookup
 
 POLICY_SCHEMA = "repro.policy/v1"
 
@@ -387,17 +388,7 @@ POLICY_SPECS: dict[str, PolicyTrainSpec] = {
 
 def resolve_policy_spec(name: str) -> PolicyTrainSpec:
     """Look up a registered train spec, with did-you-mean on typos."""
-    if name not in POLICY_SPECS:
-        import difflib
-
-        close = difflib.get_close_matches(name, POLICY_SPECS, n=3, cutoff=0.4)
-        hint = (
-            f"; did you mean {' or '.join(repr(c) for c in close)}?"
-            if close
-            else f"; choose from {sorted(POLICY_SPECS)} or a *.json artifact path"
-        )
-        raise ConfigurationError(f"unknown policy spec {name!r}{hint}")
-    return POLICY_SPECS[name]
+    return lookup("policy spec", name, POLICY_SPECS, " or a *.json artifact path")
 
 
 def excess_error_samples(

@@ -20,11 +20,11 @@ processes lowering the same spec produce bit-identical workloads.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.utils.rng import rng_from_seed, split_seed
+from repro.utils.validation import lookup
 
 # The canonical regime names, in presentation order.
 REGIME_NOMINAL = "nominal"
@@ -181,12 +181,4 @@ def resolve_scenario(scenario: str | ScenarioSpec) -> ScenarioSpec:
     did-you-mean on typos."""
     if isinstance(scenario, ScenarioSpec):
         return scenario
-    if scenario not in SCENARIOS:
-        close = difflib.get_close_matches(scenario, SCENARIOS, n=3, cutoff=0.4)
-        hint = (
-            f"; did you mean {' or '.join(repr(c) for c in close)}?"
-            if close
-            else f"; choose from {available_scenarios()}"
-        )
-        raise ConfigurationError(f"unknown scenario {scenario!r}{hint}")
-    return SCENARIOS[scenario]
+    return lookup("scenario", scenario, SCENARIOS)

@@ -87,15 +87,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         default="thread",
-        help="where NLS numerics run: in-process threads (the oracle) or "
-        "forked worker processes (true multicore); metrics are "
-        "byte-identical either way",
+        help="where NLS numerics run: in-process on the event-loop thread "
+        "(the oracle) or forked worker processes (true multicore); metrics "
+        "are byte-identical either way",
     )
     parser.add_argument(
         "--workers",
         type=int,
         metavar="N",
-        help="execution workers per shard (default: the shard's instance count)",
+        help="worker processes per shard for --backend process (default: "
+        "the shard's instance count); the thread backend runs in-process",
     )
     parser.add_argument(
         "--drain",
@@ -132,14 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs-metrics",
         metavar="PATH",
         help="export counters/gauges/histograms as canonical OBS_METRICS.json",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="engine worker threads (virtual-time outputs are identical "
-        "at any worker count)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -180,12 +173,8 @@ def main(argv: list[str]) -> int:
     # REPRO_NO_CACHE is the environment analogue of --no-cache (either
     # disables the disk cache; metrics are identical both ways).
     env_no_cache = os.environ.get("REPRO_NO_CACHE", "").lower() in ("1", "true", "yes")
-    engine = configure(
-        cache_dir=args.cache_dir,
-        use_disk=not (args.no_cache or env_no_cache),
-        jobs=args.jobs,
-    )
     use_disk = not (args.no_cache or env_no_cache)
+    engine = configure(cache_dir=args.cache_dir, use_disk=use_disk)
     try:
         profile = _apply_overrides(resolve_profile(args.profile), args)
         if args.shards == 1 and not args.drain:
@@ -206,9 +195,7 @@ def main(argv: list[str]) -> int:
                 workers=args.workers,
                 fidelity=args.fidelity,
                 drained=frozenset(args.drain),
-                engine_factory=lambda: Engine(
-                    cache_dir=args.cache_dir, use_disk=use_disk, jobs=args.jobs
-                ),
+                engine_factory=lambda: Engine(cache_dir=args.cache_dir, use_disk=use_disk),
             )
     except (ConfigurationError, ServeError) as error:
         print(f"error: {error}", file=sys.stderr)

@@ -6,7 +6,8 @@ Each :class:`AcceleratorInstance` stands in for one synthesized FPGA
 1. runs the *actual* window optimization (the estimator's NLS solve —
    bit-identical to what the modeled hardware computes, per the
    conformance contract between ``hw.sim.functional`` and the software
-   solver), on an execution-backend worker (thread or process); and
+   solver), on the execution backend (the event-loop thread or a worker
+   process); and
 2. charges *simulated* service time in virtual seconds: the analytical
    latency model (Equ. 13-15) for the gated configuration and applied
    iteration count, plus the host-link transfer for the window payload

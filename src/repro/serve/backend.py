@@ -4,11 +4,12 @@ The virtual-time event loop decides *when* everything happens; an
 :class:`ExecutionBackend` decides *where* the NLS numerics run. Two
 implementations share one seam:
 
-* :class:`ThreadBackend` — the original in-process thread pool. Python's
-  GIL serializes the NumPy-heavy solves onto roughly one core, which is
-  exactly what makes it the cheap, always-available **oracle**: every
-  other backend must reproduce its per-shard ``SERVE_METRICS.json``
-  byte for byte.
+* :class:`ThreadBackend` — in-process execution on the calling
+  (event-loop) thread, each batch's windows in submission order. A
+  thread pool would buy no parallelism under the GIL, only a malloc
+  arena per pool thread, so there is none. This is the cheap,
+  always-available **oracle**: every other backend must reproduce its
+  per-shard ``SERVE_METRICS.json`` byte for byte.
 * :class:`ProcessBackend` — persistent worker processes (``fork`` start
   method) with deterministic session affinity: session ``sid`` always
   executes on worker ``sid % workers``, and commands travel a FIFO pipe,
@@ -45,7 +46,6 @@ backends and across worker counts.
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import ConfigurationError, ReproError, ServeError
 from repro.serve.session import (
@@ -79,23 +79,18 @@ def execute_session_step(
 
 
 class ThreadBackend:
-    """In-process execution on a thread pool — the conformance oracle."""
+    """In-process execution on the calling thread — the conformance oracle."""
 
     name = "thread"
 
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ConfigurationError("thread backend needs >= 1 worker")
-        self.workers = workers
+    def __init__(self) -> None:
         self._estimators: dict[int, SessionEstimator] = {}
         self._pending: tuple[list[SessionSpec], object] | None = None
-        self._executor: ThreadPoolExecutor | None = None
 
     def start(self, specs: list[SessionSpec], engine) -> None:
         """Take the sessions' build specs; :meth:`collect_builds` builds
         them on the calling thread."""
         self._pending = (list(specs), engine)
-        self._executor = ThreadPoolExecutor(max_workers=self.workers)
 
     def collect_builds(self) -> list[SessionBuild]:
         """Build every session in spec order, then drop the engine."""
@@ -108,21 +103,14 @@ class ThreadBackend:
         self._estimators[session_id].shed(frame_id)
 
     def run_jobs(self, jobs: list[WindowRequest]) -> list[WindowOutcome]:
-        if self._executor is None:
-            raise ServeError("backend used before start()")
-        return list(
-            self._executor.map(
-                lambda request: execute_session_step(
-                    self._estimators[request.session_id], request
-                ),
-                jobs,
-            )
-        )
+        """Run the batch's windows one after another, in submission order."""
+        return [
+            execute_session_step(self._estimators[request.session_id], request)
+            for request in jobs
+        ]
 
     def stop(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        """Nothing to release: windows run on the caller's thread."""
 
 
 def _worker_loop(conn, parent_ends, specs: list[SessionSpec], engine) -> None:
@@ -301,9 +289,10 @@ class ProcessBackend:
 
 
 def make_backend(name: str, workers: int):
-    """Resolve a backend name to a fresh (not yet started) instance."""
+    """Resolve a backend name to a fresh (not yet started) instance;
+    ``workers`` sizes the process backend only."""
     if name == "thread":
-        return ThreadBackend(workers)
+        return ThreadBackend()
     if name == "process":
         return ProcessBackend(workers)
     raise ConfigurationError(f"backend must be one of {BACKENDS}, got {name!r}")

@@ -18,12 +18,12 @@ determines the run.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass, replace
 
 from repro.data.sequences import EUROC_SEQUENCES, KITTI_SEQUENCES, SequenceConfig
 from repro.errors import ConfigurationError
 from repro.utils.rng import rng_from_seed, split_seed
+from repro.utils.validation import lookup
 
 
 @dataclass(frozen=True)
@@ -316,12 +316,4 @@ def available_profiles() -> list[str]:
 
 def resolve_profile(name: str) -> LoadProfile:
     """Look up a named profile, with did-you-mean on typos."""
-    if name not in PROFILES:
-        close = difflib.get_close_matches(name, PROFILES, n=3, cutoff=0.4)
-        hint = (
-            f"; did you mean {' or '.join(repr(c) for c in close)}?"
-            if close
-            else f"; choose from {available_profiles()}"
-        )
-        raise ConfigurationError(f"unknown load profile {name!r}{hint}")
-    return PROFILES[name]
+    return lookup("load profile", name, PROFILES)

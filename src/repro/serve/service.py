@@ -5,11 +5,11 @@ Events — window arrivals, batch completions, instances freeing up — live
 in one heap ordered by ``(time, sequence number)``, so the schedule is a
 total order and a seeded run is bit-reproducible. Real work still
 happens: every served window runs the actual sliding-window NLS
-optimization on an execution backend (:mod:`repro.serve.backend`) sized
-to the accelerator pool — in-process threads by default, forked worker
-processes for true multicore — but *when* things happen is decided
-entirely by the analytical hardware latency model, never by wall-clock
-measurements, so the metrics are byte-identical across backends.
+optimization on an execution backend (:mod:`repro.serve.backend`) — on
+the event-loop thread by default, in forked worker processes for true
+multicore — but *when* things happen is decided entirely by the
+analytical hardware latency model, never by wall-clock measurements, so
+the metrics are byte-identical across backends.
 
 Per event the loop does three things, always in the same order:
 
@@ -18,9 +18,9 @@ Per event the loop does three things, always in the same order:
 2. **pump**: every session that is READY submits its oldest pending
    window through admission control (shed / degrade / accept);
 3. **dispatch**: every idle instance takes one earliest-deadline-first
-   micro-batch off the queue; the batch's optimizations execute
-   concurrently in wall time while their virtual completion times are
-   laid out back-to-back on the instance. On a portfolio pool with
+   micro-batch off the queue; the batches' optimizations run on the
+   backend while their virtual completion times are laid out
+   back-to-back on the instance. On a portfolio pool with
    ``reconfig_after`` set, an instance whose batches keep drifting
    toward another config swaps to it between batches.
 
@@ -580,9 +580,9 @@ class LocalizationService:
             return
         self.telemetry.sample_queue_depth(t, len(self.scheduler))
 
-        # Execute every job of every batch concurrently in wall time;
-        # virtual-time accounting below consumes results in submission
-        # order, so worker interleaving cannot change the outcome.
+        # Execute every job of every batch on the backend; virtual-time
+        # accounting below consumes results in submission order, so
+        # where and in what order they ran cannot change the outcome.
         jobs = [request for _, batch in assignments for request in batch]
         results = self._backend.run_jobs(jobs)
         result_by_seq = {outcome.seq: outcome for outcome in results}

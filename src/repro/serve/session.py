@@ -28,8 +28,9 @@ recording, not even during set-up, and respawning a worker means
 running the same build path again.
 
 Thread-safety model: the event loop mutates a view only while its
-session is *not* INFLIGHT; while INFLIGHT, exactly one backend worker
-runs the estimator's :meth:`SessionEstimator.execute`. Neither object
+session is *not* INFLIGHT; while INFLIGHT, exactly one backend (the
+event-loop thread or one worker process) runs the estimator's
+:meth:`SessionEstimator.execute`. Neither object
 needs a lock — the scheduler's single-inflight-window-per-session rule
 *is* the synchronization.
 """
@@ -92,7 +93,7 @@ class WindowRequest:
 class WindowOutcome:
     """The picklable result of one session step crossing the worker seam.
 
-    Both execution backends (in-process threads and worker processes)
+    Both execution backends (in-process and worker processes)
     reduce a served window to this value object: the workload statistics
     the latency/energy models charge from, the drift number telemetry
     records, and — when the optimization failed with a typed error — the

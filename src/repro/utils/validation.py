@@ -8,9 +8,32 @@ name the offending argument, so failures surface close to their cause.
 
 from __future__ import annotations
 
+import difflib
+from collections.abc import Mapping
+from typing import TypeVar
+
 import numpy as np
 
 from repro.errors import ConfigurationError
+
+_T = TypeVar("_T")
+
+
+def lookup(what: str, name: str, registry: Mapping[str, _T], alternatives: str = "") -> _T:
+    """Return ``registry[name]``, or raise naming the unknown ``what``.
+
+    The error suggests up to three close names; when none is close it
+    lists every name, followed by ``alternatives`` (e.g. ``" or a path"``).
+    """
+    if name in registry:
+        return registry[name]
+    close = difflib.get_close_matches(name, registry, n=3, cutoff=0.4)
+    hint = (
+        f"; did you mean {' or '.join(repr(c) for c in close)}?"
+        if close
+        else f"; choose from {sorted(registry)}{alternatives}"
+    )
+    raise ConfigurationError(f"unknown {what} {name!r}{hint}")
 
 
 def check_positive(name: str, value: float) -> float:

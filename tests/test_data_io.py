@@ -108,6 +108,23 @@ class TestSerialization:
         with pytest.raises(DataError):
             sequence_from_arrays(arrays)
 
+    def test_format_1_archive_rejected(self, tmp_path):
+        """Format 1 stored the landmark field, which format 2 dropped; a
+        version-1 archive is refused by name, not decoded without it."""
+        import json
+
+        arrays = dict(sequence_to_arrays(make_euroc_sequence("MH_01", duration=1.0)))
+        assert "landmarks" not in arrays
+        meta = json.loads(bytes(np.asarray(arrays["meta_json"])).decode())
+        meta["version"] = 1
+        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        arrays["landmarks"] = np.zeros((4, 3))
+        path = tmp_path / "format1.npz"
+        np.savez_compressed(path, **arrays)
+        with np.load(path) as data:
+            with pytest.raises(DataError, match=r"format version 1\b"):
+                sequence_from_arrays(data)
+
     def test_empty_keyframe_round_trip(self, tmp_path):
         """A keyframe that sees no landmark encodes and decodes as the
         ``(0,)`` / ``(0, 2)`` pair the tracker hands out."""

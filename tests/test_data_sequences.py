@@ -18,7 +18,7 @@ from repro.data import (
 )
 from repro.data.io import sequence_to_arrays
 from repro.data.landmarks import density_profile
-from repro.data.sequences import ImuSegment, Sequence, _make_trajectory
+from repro.data.sequences import ImuSegment, Sequence, _landmark_field, _make_trajectory
 from repro.data.tracks import (
     FeatureTracker,
     FrameObservations,
@@ -75,14 +75,18 @@ class TestSequenceGeneration:
     def test_deterministic(self):
         a = make_euroc_sequence("MH_02", duration=2.0)
         b = make_euroc_sequence("MH_02", duration=2.0)
-        assert np.array_equal(a.landmarks, b.landmarks)
         assert np.array_equal(a.imu_segments[0].gyro, b.imu_segments[0].gyro)
-        assert a.observations[3].ids.tobytes() == b.observations[3].ids.tobytes()
+        for obs_a, obs_b in zip(a.observations, b.observations, strict=True):
+            assert obs_a.ids.tobytes() == obs_b.ids.tobytes()
+            assert obs_a.pixels.tobytes() == obs_b.pixels.tobytes()
 
     def test_distinct_sequences_differ(self):
         a = make_euroc_sequence("MH_01", duration=2.0)
         b = make_euroc_sequence("MH_03", duration=2.0)
-        assert not np.array_equal(a.landmarks[: len(b.landmarks)], b.landmarks[: len(a.landmarks)])
+        first_a, first_b = a.observations[0], b.observations[0]
+        assert first_a.num_features > 0 and first_b.num_features > 0
+        assert first_a.ids.tobytes() != first_b.ids.tobytes()
+        assert first_a.pixels.tobytes() != first_b.pixels.tobytes()
 
     def test_imu_segment_shapes(self, euroc):
         assert len(euroc.imu_segments) == euroc.num_keyframes - 1
@@ -197,15 +201,16 @@ class _ReferenceTracker(FeatureTracker):
         )
 
 
-def _reference_sequence(config: SequenceConfig) -> Sequence:
+def _stream(config: SequenceConfig, label: str) -> np.random.Generator:
+    return rng_from_seed(split_seed(config.seed, f"{config.name}:{label}"))
+
+
+def _reference_sequence(config: SequenceConfig) -> tuple[Sequence, np.ndarray]:
     """Per-sample synthesis from float trajectory calls: the loops that
-    batched synthesis replaced, kept as the reference it must match."""
-
-    def stream(label):
-        return rng_from_seed(split_seed(config.seed, f"{config.name}:{label}"))
-
-    land_rng, track_rng, imu_rng = stream("landmarks"), stream("tracks"), stream("imu")
-    trajectory = _make_trajectory(config, stream("trajectory"))
+    batched synthesis replaced, kept as the reference it must match.
+    Returns the recording and the landmark field it was tracked from."""
+    land_rng, track_rng, imu_rng = (_stream(config, s) for s in ("landmarks", "tracks", "imu"))
+    trajectory = _make_trajectory(config, _stream(config, "trajectory"))
     # forward, lateral, vertical
     spreads = (4.0, 4.0, 2.0) if config.kind == "drone" else (6.0, 14.0, 4.0)
     density = density_profile(config.density_period, config.density_floor)
@@ -253,9 +258,8 @@ def _reference_sequence(config: SequenceConfig) -> Sequence:
             if accel_sigma > 0.0:
                 accel[i] += imu_rng.normal(scale=accel_sigma, size=3)
         segments.append(ImuSegment(timestamps=times, gyro=gyro, accel=accel, dt=dt))
-    return Sequence(
-        config, timestamps, states, observations, segments, landmarks, bias_gyro, bias_accel
-    )
+    sequence = Sequence(config, timestamps, states, observations, segments, bias_gyro, bias_accel)
+    return sequence, landmarks
 
 
 _REFERENCE_CONFIGS = {
@@ -286,13 +290,21 @@ _REFERENCE_CONFIGS = {
 @pytest.mark.parametrize("name", sorted(_REFERENCE_CONFIGS))
 def test_batched_synthesis_matches_per_sample_reference(name):
     config = _REFERENCE_CONFIGS[name]
+    reference, reference_landmarks = _reference_sequence(config)
     actual = sequence_to_arrays(make_sequence(config))
-    expected = sequence_to_arrays(_reference_sequence(config))
+    expected = sequence_to_arrays(reference)
     assert actual.keys() == expected.keys()
     for key, value in expected.items():
         assert actual[key].dtype == value.dtype, key
         assert actual[key].shape == value.shape, key
         assert actual[key].tobytes() == value.tobytes(), key
+    # The recording no longer carries the field, so check the one
+    # make_sequence hands its tracker against the reference's directly.
+    trajectory = _make_trajectory(config, _stream(config, "trajectory"))
+    landmarks = _landmark_field(config, trajectory, _stream(config, "landmarks"))
+    assert landmarks.dtype == reference_landmarks.dtype
+    assert landmarks.shape == reference_landmarks.shape
+    assert landmarks.tobytes() == reference_landmarks.tobytes()
 
 
 _TRACKER_CONFIGS = st.builds(

@@ -300,11 +300,9 @@ class TestServeTraces:
     """The virtual-time span trace: deterministic, schema-valid, and
     consistent with the telemetry counters."""
 
-    def _run(self, jobs=1):
+    def _run(self, **backend):
         profile = mini_profile()
-        service = LocalizationService(
-            profile, engine=Engine(use_disk=False, jobs=jobs)
-        )
+        service = LocalizationService(profile, engine=Engine(use_disk=False), **backend)
         return service.run()
 
     def test_trace_byte_identical_across_runs(self):
@@ -312,7 +310,11 @@ class TestServeTraces:
         assert dumps[0] == dumps[1]
 
     def test_trace_byte_identical_across_worker_counts(self):
-        assert self._run(jobs=1).trace.to_jsonl() == self._run(jobs=4).trace.to_jsonl()
+        one, three = (
+            self._run(backend="process", workers=workers).trace.to_jsonl()
+            for workers in (1, 3)
+        )
+        assert one == three
 
     def test_span_counts_match_telemetry(self):
         report = self._run()

@@ -20,6 +20,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import threading
 import time
 import types
 import weakref
@@ -46,7 +47,7 @@ from repro.serve import (
     shard_service,
 )
 import repro.serve.backend as backend_module
-from repro.serve.backend import ProcessBackend
+from repro.serve.backend import ProcessBackend, ThreadBackend
 from repro.serve.loadgen import session_sequence_config
 from repro.serve.service import LocalizationService
 from repro.serve.session import SessionBuild, SessionEstimator, SessionSpec
@@ -298,6 +299,56 @@ class TestBackends:
             LocalizationService(
                 fleet_profile(), engine=Engine(use_disk=False), backend="fiber"
             ).run()
+
+    def test_thread_backend_runs_windows_inline_in_submission_order(self, monkeypatch):
+        """The thread backend has no pool: a batch's windows run one after
+        another on the thread that calls ``run_jobs``, in submission order."""
+        calls = []
+
+        class RecordingSession:
+            def execute(self, request):
+                calls.append((threading.get_ident(), request.seq))
+                return types.SimpleNamespace(stats=None, newest_position_error=0.0)
+
+        def build_recording(specs, engine):
+            return {spec.session_id: RecordingSession() for spec in specs}, [
+                SessionBuild(spec.session_id, "stub", (0, 0), 0.0) for spec in specs
+            ]
+
+        monkeypatch.setattr(backend_module, "build_sessions", build_recording)
+        backend = ThreadBackend()
+        backend.start([SessionSpec(sid, None, 6) for sid in range(3)], engine=None)
+        backend.collect_builds()
+        jobs = [
+            WindowRequest(
+                session_id=sid, frame_id=1, ready_time=0.0, deadline=1.0,
+                iterations=1, config=None, reconfigured=False,
+                degraded=False, seq=seq,
+            )
+            for seq, sid in ((7, 2), (8, 0), (9, 1))
+        ]
+        outcomes = backend.run_jobs(jobs)
+        me = threading.get_ident()
+        assert calls == [(me, 7), (me, 8), (me, 9)]
+        assert [(o.session_id, o.seq) for o in outcomes] == [(2, 7), (0, 8), (1, 9)]
+
+    def test_thread_backend_service_starts_no_thread(self, monkeypatch):
+        """A thread-backend run executes every window on the thread that
+        called ``run()``, and no other thread exists while it does."""
+        seen = []
+        execute = SessionEstimator.execute
+
+        def sampling_execute(self, request):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return execute(self, request)
+
+        monkeypatch.setattr(SessionEstimator, "execute", sampling_execute)
+        before = threading.active_count()
+        LocalizationService(
+            fleet_profile(num_sessions=3, num_instances=2), engine=Engine(use_disk=False)
+        ).run()
+        assert seen
+        assert set(seen) == {(threading.get_ident(), before)}
 
     def test_process_backend_matches_thread_functional_fidelity(self):
         profile = fleet_profile(num_sessions=3, num_instances=2)
