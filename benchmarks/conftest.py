@@ -22,7 +22,7 @@ from repro.engine import configure, get_engine
 def engine_cache(tmp_path_factory):
     """Route all benchmark experiments through one fresh engine cache."""
     cache_dir = tmp_path_factory.mktemp("repro_cache")
-    engine = configure(cache_dir=cache_dir, use_disk=True, jobs=1)
+    engine = configure(cache_dir=cache_dir, use_disk=True)
     yield engine
 
 

@@ -123,7 +123,7 @@ class MsckfFilter:
 
             # Clone the current pose.
             clones.append((frame_id, position.copy(), rotation.copy()))
-            covariance = self._augment(covariance, len(clones) - 1)
+            covariance = self._augment(covariance)
             result.operation_count += covariance.size
 
             # Register observations; fire updates for tracks that ended.
@@ -221,7 +221,7 @@ class MsckfFilter:
         covariance[:_IMU_DIM, :_IMU_DIM] += noise
         return new_position, new_rotation, new_velocity, covariance
 
-    def _augment(self, covariance: np.ndarray, clone_index: int) -> np.ndarray:
+    def _augment(self, covariance: np.ndarray) -> np.ndarray:
         """Stochastic cloning: append the current pose's error sub-state."""
         old = covariance.shape[0]
         jac = np.zeros((_CLONE_DIM, old))

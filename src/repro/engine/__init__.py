@@ -4,10 +4,9 @@ Every expensive computation in the reproduction — sequence synthesis,
 estimator runs, hardware co-simulation, synthesis solves, runtime
 replays — is a typed :class:`~repro.engine.stage.Stage` keyed by the
 content of its configuration. The :class:`~repro.engine.engine.Engine`
-memoizes stage products in process, persists them in a
-content-addressed cache under ``.repro_cache/``, and runs independent
-work in parallel. See ``docs/engine.md`` for the cache layout and
-invalidation rules.
+memoizes stage products in process and persists them in a
+content-addressed cache under ``.repro_cache/``. See
+``docs/engine.md`` for the cache layout and invalidation rules.
 
 Typical use::
 
@@ -20,7 +19,6 @@ Typical use::
 """
 
 from repro.engine.engine import (
-    Artifact,
     DEFAULT_CACHE_DIR,
     Engine,
     configure,
@@ -49,7 +47,6 @@ from repro.engine.stages import (
 )
 
 __all__ = [
-    "Artifact",
     "ArtifactCache",
     "CacheCounters",
     "CacheStats",

@@ -1,11 +1,11 @@
 """CLI: ``python -m repro.experiments [ids...|all]`` prints the tables.
 
 The heavy lifting runs through the :mod:`repro.engine` execution
-engine: ``--jobs`` runs independent experiments concurrently,
-``--cache-dir`` relocates the on-disk artifact cache, and ``--no-cache``
-bypasses the disk entirely (results are identical either way — the
-cache stores bit-exact artifacts). A cache summary line is printed at
-the end of every invocation, so a second run of the same experiments
+engine: ``--cache-dir`` relocates the on-disk artifact cache, and
+``--no-cache`` bypasses the disk entirely (results are identical either
+way — the cache stores bit-exact artifacts). Experiments run one after
+another in the requested order. A cache summary line is printed at the
+end of every invocation, so a second run of the same experiments
 visibly hits the cache.
 """
 
@@ -35,13 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list", action="store_true", help="print registered experiment ids and exit"
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run up to N experiments concurrently (default: 1)",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=str(DEFAULT_CACHE_DIR),
         metavar="PATH",
@@ -62,13 +55,11 @@ def main(argv: list[str]) -> int:
             print(experiment_id)
         return 0
 
-    engine = configure(
-        cache_dir=args.cache_dir, use_disk=not args.no_cache, jobs=args.jobs
-    )
+    engine = configure(cache_dir=args.cache_dir, use_disk=not args.no_cache)
     requested = args.ids or ["all"]
     ids = available_experiments() if requested == ["all"] else requested
     try:
-        results = run_experiments(ids, engine=engine)
+        results = run_experiments(ids)
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

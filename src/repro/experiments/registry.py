@@ -63,18 +63,11 @@ def run_experiment(experiment_id: str) -> ExperimentResult:
     return lookup("experiment", experiment_id, EXPERIMENTS)()
 
 
-def run_experiments(
-    experiment_ids: list[str], engine=None
-) -> list[ExperimentResult]:
-    """Run several experiments, in parallel when the engine has workers.
+def run_experiments(experiment_ids: list[str]) -> list[ExperimentResult]:
+    """Run several experiments, in the requested order.
 
-    Unknown ids are rejected up front (before any work is spent), and
-    results come back in the requested order regardless of worker count.
+    Unknown ids are rejected up front, before any work is spent.
     """
     for experiment_id in experiment_ids:
         lookup("experiment", experiment_id, EXPERIMENTS)
-    if engine is None:
-        from repro.engine import get_engine
-
-        engine = get_engine()
-    return engine.parallel(run_experiment, experiment_ids)
+    return [run_experiment(experiment_id) for experiment_id in experiment_ids]

@@ -106,15 +106,15 @@ class AcceleratorInstance:
         self.windows_executed += 1
         return self.free_at
 
-    def reconfigure(
-        self, config: HardwareConfig, seconds: float, joules: float, start: float
-    ) -> float:
+    def reconfigure(self, config: HardwareConfig, seconds: float, start: float) -> float:
         """Partially reconfigure to ``config`` starting at ``start``.
 
         The instance is offline for ``seconds`` of virtual time (counted
-        as busy — the fabric is occupied by the configuration port) and
-        the swap energy is accumulated separately from window energy.
-        Returns the new free-at time.
+        as busy — the fabric is occupied by the configuration port).
+        Returns the new free-at time. The swap energy is not counted
+        here: the service records it with
+        :meth:`~repro.serve.telemetry.Telemetry.record_reconfig`, apart
+        from window energy.
         """
         self.config = config
         self.reconfigurations += 1

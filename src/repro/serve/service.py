@@ -167,6 +167,8 @@ class LocalizationService:
         self.engine = engine if engine is not None else get_engine()
         self.fidelity = fidelity
         self.backend_name = backend
+        if workers is not None and workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         # The session-id subset this service owns. None means the whole
         # profile; a fleet shard passes its consistent-hash slice. Ids
@@ -345,7 +347,7 @@ class LocalizationService:
             SessionSpec(sid, session_sequence_config(profile, sid), profile.window_size)
             for sid in self.session_ids
         ]
-        self._backend = make_backend(self.backend_name, max(1, workers))
+        self._backend = make_backend(self.backend_name, workers)
         self._backend.start(self._specs, self.engine)
         self._start_seconds = time.perf_counter() - started
 
@@ -732,7 +734,7 @@ class LocalizationService:
         swap = self.swap_model.swap_cost(instance.config, target)
         start = instance.free_at
         previous = instance.config_id
-        instance.reconfigure(target, swap.seconds, swap.joules, start)
+        instance.reconfigure(target, swap.seconds, start)
         self.telemetry.record_reconfig(
             instance.config_id, swap.seconds, swap.joules
         )

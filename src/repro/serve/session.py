@@ -253,7 +253,7 @@ class SessionEstimator:
                 window_size=self.window_size, lm=LMConfig(), seed=self.session_id
             )
         )
-        self.estimator.start(self.sequence)
+        self.estimator.start()
         self.estimator.step(self.sequence, 0, RunResult())
 
     def shed(self, frame_id: int) -> None:

@@ -158,7 +158,7 @@ class SlidingWindowEstimator:
 
     def run(self, sequence: Sequence, max_keyframes: int | None = None) -> RunResult:
         """Process a sequence end to end and return per-window records."""
-        result = self.start(sequence)
+        result = self.start()
         limit = min(
             sequence.num_keyframes,
             max_keyframes if max_keyframes is not None else sequence.num_keyframes,
@@ -167,14 +167,13 @@ class SlidingWindowEstimator:
             self.step(sequence, frame_id, result)
         return result
 
-    def start(self, sequence: Sequence) -> RunResult:
+    def start(self) -> RunResult:
         """Reset state and return a fresh :class:`RunResult` for stepping.
 
         The incremental counterpart of :meth:`run`: callers that feed the
         estimator window by window (the serving tier's sessions) call
         ``start`` once, then :meth:`step` for each keyframe in order.
         """
-        del sequence  # reserved for future per-sequence initialization
         self.reset()
         return RunResult()
 

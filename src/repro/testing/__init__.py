@@ -16,8 +16,7 @@ This package makes each link a first-class, runnable *oracle*:
 * :mod:`repro.testing.faults` — deterministic fault injectors (NaN
   tracks, IMU gaps, degenerate windows, corrupted cache blobs);
 * :mod:`repro.testing.conformance` — the oracle x workload matrix,
-  run through the engine's parallel runner, serialized to
-  ``CONFORMANCE.json``;
+  serialized to ``CONFORMANCE.json``;
 * ``python -m repro.testing`` — the CI-gating conformance CLI.
 
 :mod:`repro.testing.strategies` (shared Hypothesis strategies and the

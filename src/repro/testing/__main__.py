@@ -1,10 +1,10 @@
 """CLI: ``python -m repro.testing`` — the CI conformance gate.
 
-Runs the full differential-oracle x workload matrix through the
-engine's parallel runner, writes the ``CONFORMANCE.json`` artifact, and
-exits nonzero on any mismatch. ``--perturb ORACLE`` deliberately skews
-that oracle's inputs — the run must then fail, which is the built-in
-proof that the gate detects disagreement rather than passing vacuously.
+Runs the full differential-oracle x workload matrix, writes the
+``CONFORMANCE.json`` artifact, and exits nonzero on any mismatch.
+``--perturb ORACLE`` deliberately skews that oracle's inputs — the run
+must then fail, which is the built-in proof that the gate detects
+disagreement rather than passing vacuously.
 
 ``--scenarios`` switches the workload axis to the degenerate-regime
 grid: every oracle x every scenario x every named design point
@@ -16,6 +16,8 @@ grid: every oracle x every scenario x every named design point
 instead: the frozen runtime policy must Pareto-dominate the counter +
 fixed-regime baseline on the drift-vs-energy plane for every eval
 profile (writes ``POLICY_EVAL.json`` and the frozen ``POLICY.json``).
+It runs on the default engine, whose disk cache is on unless
+``REPRO_NO_CACHE`` is set.
 """
 
 from __future__ import annotations
@@ -88,25 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"restrict to one oracle (repeatable); choices: {sorted(ORACLES)}",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=4,
-        metavar="N",
-        help="worker threads for the matrix (default: 4)",
-    )
-    parser.add_argument(
         "--output",
         default=None,
         metavar="PATH",
         help="where to write the JSON report (default: CONFORMANCE.json, "
         "or SCENARIOS.json under --scenarios)",
-    )
-    parser.add_argument(
-        "--cache",
-        action="store_true",
-        help="run through the disk-backed engine artifact cache "
-        "(REPRO_CACHE_DIR / .repro_cache) so repeat runs and CI "
-        "restores skip recomputation",
     )
     parser.add_argument(
         "--perturb",
@@ -133,40 +121,29 @@ def main(argv: list[str]) -> int:
     if args.policy_eval and args.scenarios:
         print("error: --policy-eval and --scenarios are exclusive", file=sys.stderr)
         return 2
-    engine = None
-    if args.cache:
-        from repro.engine.engine import Engine
-
-        engine = Engine(use_disk=True, jobs=args.jobs)
     try:
         if args.policy_eval:
             from repro.testing.policy_eval import run_policy_eval
 
             run = run_policy_eval(
-                policy=args.policy,
-                policy_output=args.policy_artifact,
-                engine=engine,
+                policy=args.policy, policy_output=args.policy_artifact
             )
             output = args.output or "POLICY_EVAL.json"
         elif args.scenarios:
             run = run_scenario_matrix(
                 scenarios=tuple(args.scenario) if args.scenario else None,
                 oracle_names=tuple(args.oracle) if args.oracle else None,
-                jobs=args.jobs,
                 quick=args.quick,
                 perturb=args.perturb,
                 perturbation=args.perturbation,
-                engine=engine,
             )
             output = args.output or "SCENARIOS.json"
         else:
             run = run_conformance(
                 workloads=QUICK_WORKLOADS if args.quick else DEFAULT_WORKLOADS,
                 oracle_names=tuple(args.oracle) if args.oracle else None,
-                jobs=args.jobs,
                 perturb=args.perturb,
                 perturbation=args.perturbation,
-                engine=engine,
             )
             output = args.output or "CONFORMANCE.json"
     except ConfigurationError as error:

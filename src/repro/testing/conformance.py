@@ -1,8 +1,7 @@
 """The conformance matrix: every oracle across every workload scale.
 
-The matrix is embarrassingly parallel, so it runs through the execution
-engine's worker pool (:meth:`repro.engine.Engine.parallel`); results are
-deterministic at any worker count. The aggregate is serializable to the
+The cells run one after another, oracle first, then workload, and are
+deterministic. The aggregate is serializable to the
 ``CONFORMANCE.json`` artifact the CI gate publishes.
 """
 
@@ -12,7 +11,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.engine.engine import Engine
 from repro.errors import ConfigurationError
 from repro.testing.oracles import ORACLES, ConformanceWorkload, OracleReport
 
@@ -40,7 +38,6 @@ class ConformanceRun:
     """All reports of one matrix run, plus the aggregate verdict."""
 
     reports: list[OracleReport] = field(default_factory=list)
-    jobs: int = 1
     perturbed: str | None = None
 
     @property
@@ -60,7 +57,6 @@ class ConformanceRun:
             "passed": self.passed,
             "checks": self.total_checks,
             "mismatches": self.num_mismatches,
-            "jobs": self.jobs,
             "perturbed": self.perturbed,
             "oracles": sorted({report.oracle for report in self.reports}),
             "workloads": sorted({report.workload for report in self.reports}),
@@ -97,10 +93,8 @@ class ConformanceRun:
 def run_conformance(
     workloads: tuple[ConformanceWorkload, ...] = DEFAULT_WORKLOADS,
     oracle_names: tuple[str, ...] | None = None,
-    jobs: int = 1,
     perturb: str | None = None,
     perturbation: float = 0.05,
-    engine: Engine | None = None,
 ) -> ConformanceRun:
     """Run the oracle x workload matrix and collect every report.
 
@@ -108,12 +102,10 @@ def run_conformance(
         workloads: the scales to cover.
         oracle_names: subset of :data:`repro.testing.oracles.ORACLES`
             (default: all four).
-        jobs: worker threads for the engine's parallel runner.
         perturb: name of one oracle (or ``"all"``) whose inputs are
             deliberately skewed by ``perturbation`` — the matrix must
             then FAIL, which is how the oracles prove they detect
             disagreement.
-        engine: an existing engine to run on (its ``jobs`` wins).
     """
     names = tuple(oracle_names) if oracle_names else tuple(ORACLES)
     unknown = [name for name in names if name not in ORACLES]
@@ -126,17 +118,11 @@ def run_conformance(
             f"unknown --perturb target {perturb!r}; choose from "
             f"{sorted(ORACLES) + ['all']}"
         )
-    if engine is None:
-        # The matrix needs only the worker pool — oracle runs are cheap
-        # and never worth a disk artifact.
-        engine = Engine(cache_dir=None, use_disk=False, jobs=jobs)
-
-    cells = [(name, workload) for name in names for workload in workloads]
-
-    def run_cell(cell: tuple[str, ConformanceWorkload]) -> OracleReport:
-        name, workload = cell
-        skew = perturbation if perturb in (name, "all") else 0.0
-        return ORACLES[name](workload, perturbation=skew)
-
-    reports = engine.parallel(run_cell, cells)
-    return ConformanceRun(reports=list(reports), jobs=engine.jobs, perturbed=perturb)
+    reports = [
+        ORACLES[name](
+            workload, perturbation=perturbation if perturb in (name, "all") else 0.0
+        )
+        for name in names
+        for workload in workloads
+    ]
+    return ConformanceRun(reports=reports, perturbed=perturb)

@@ -137,7 +137,6 @@ def run_policy_eval(
     policy: str = "default",
     profiles: tuple[str, ...] = DEFAULT_EVAL_PROFILES,
     policy_output: str | Path = "POLICY.json",
-    engine=None,
 ) -> PolicyEvalRun:
     """Train/load the policy, freeze it, and run the differential eval.
 
@@ -147,13 +146,10 @@ def run_policy_eval(
     (re)written to ``policy_output`` and the learned runs load it from
     there — the eval exercises exactly the file CI archives.
     """
+    from repro.engine import get_engine
     from repro.runtime.policy import load_policy
 
-    if engine is None:
-        from repro.engine import get_engine
-
-        engine = get_engine()
-
+    engine = get_engine()
     frozen = load_policy(policy, engine=engine)
     policy_path = frozen.save(policy_output)
 

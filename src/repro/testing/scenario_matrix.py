@@ -17,7 +17,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.engine.engine import Engine
 from repro.errors import ConfigurationError
 from repro.obs.metrics import LatencyHistogram, metrics_layout
 from repro.obs.validate import SCENARIO_SCHEMA_PREFIX
@@ -76,7 +75,6 @@ class ScenarioMatrixRun:
     cells: list[tuple[ConformanceWorkload, OracleReport]] = field(
         default_factory=list
     )
-    jobs: int = 1
     perturbed: str | None = None
 
     @property
@@ -97,7 +95,6 @@ class ScenarioMatrixRun:
             "passed": self.passed,
             "checks": self.total_checks,
             "mismatches": self.num_mismatches,
-            "jobs": self.jobs,
             "perturbed": self.perturbed,
             "oracles": sorted({report.oracle for _, report in self.cells}),
             "scenarios": sorted({w.scenario for w, _ in self.cells}),
@@ -175,17 +172,15 @@ class ScenarioMatrixRun:
 def run_scenario_matrix(
     scenarios: tuple[str, ...] | None = None,
     oracle_names: tuple[str, ...] | None = None,
-    jobs: int = 1,
     quick: bool = False,
     perturb: str | None = None,
     perturbation: float = 0.05,
-    engine: Engine | None = None,
 ) -> ScenarioMatrixRun:
     """Run every oracle across every scenario x design-point cell.
 
     :func:`repro.testing.conformance.run_conformance` (same oracle and
-    ``--perturb`` validation, same engine-parallel execution) over the
-    :func:`matrix_workloads` grid, each report paired with its workload.
+    ``--perturb`` validation) over the :func:`matrix_workloads` grid,
+    each report paired with its workload.
     """
     chosen = tuple(scenarios) if scenarios else DEFAULT_MATRIX_SCENARIOS
     unknown_scenarios = [s for s in chosen if s not in available_scenarios()]
@@ -198,14 +193,11 @@ def run_scenario_matrix(
     run = run_conformance(
         workloads,
         oracle_names=oracle_names,
-        jobs=jobs,
         perturb=perturb,
         perturbation=perturbation,
-        engine=engine,
     )
     # run_conformance walks its grid oracle first, then workload.
     return ScenarioMatrixRun(
         cells=list(zip(itertools.cycle(workloads), run.reports)),
-        jobs=run.jobs,
         perturbed=perturb,
     )

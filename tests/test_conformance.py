@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine.engine import Engine
 from repro.errors import ConfigurationError
 from repro.testing import (
     DEFAULT_WORKLOADS,
@@ -60,16 +59,6 @@ class TestOracleMatrix:
 
 
 class TestConformanceRun:
-    def test_parallel_matches_serial(self):
-        serial = run_conformance(workloads=(SMALL,), jobs=1)
-        parallel = run_conformance(
-            workloads=(SMALL,), engine=Engine(cache_dir=None, use_disk=False, jobs=4)
-        )
-        assert serial.passed and parallel.passed
-        assert [r.to_dict()["info"] for r in serial.reports] == [
-            r.to_dict()["info"] for r in parallel.reports
-        ]
-
     def test_perturbed_run_fails_and_records_target(self):
         run = run_conformance(workloads=(SMALL,), perturb="backend")
         assert not run.passed
@@ -108,7 +97,7 @@ class TestConformanceCli:
         )
 
     def test_quick_clean_run_exits_zero_and_writes_report(self, tmp_path):
-        completed = self._run("--quick", "--jobs", "2", cwd=tmp_path)
+        completed = self._run("--quick", cwd=tmp_path)
         assert completed.returncode == 0, completed.stdout + completed.stderr
         data = json.loads((tmp_path / "CONFORMANCE.json").read_text())
         assert data["passed"] is True

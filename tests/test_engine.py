@@ -1,4 +1,4 @@
-"""Tests for the execution engine: keys, cache correctness, parallelism.
+"""Tests for the execution engine: keys, cache correctness, single flight.
 
 The contract under test is the one ``docs/engine.md`` documents:
 identical bits whether an artifact is computed fresh, replayed from the
@@ -6,6 +6,7 @@ in-process memo, or decoded from a cold disk cache — and a new cache
 key the moment any request field changes.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -151,8 +152,8 @@ class TestCacheCorrectness:
     def test_corrupt_blob_is_a_miss(self, tmp_path):
         request = sequence_config("euroc", "MH_01", 2.0)
         engine = Engine(cache_dir=tmp_path, use_disk=True)
-        artifact = engine.artifact(SEQUENCE, request)
-        blob = engine.cache.path_for(SEQUENCE.name, artifact.key)
+        engine.run(SEQUENCE, request)
+        blob = engine.cache.path_for(SEQUENCE.name, engine.key_for(SEQUENCE, request))
         blob.write_bytes(b"not an npz file")
 
         fresh = Engine(cache_dir=tmp_path, use_disk=True)
@@ -206,31 +207,16 @@ class TestStageCodecs:
 
 
 class TestParallelRunner:
-    def test_map_matches_serial(self, tmp_path):
-        configs = [
-            sequence_config("euroc", "MH_01", 2.0),
-            sequence_config("kitti", "00", 2.0),
-        ]
-        serial = Engine(cache_dir=tmp_path / "a", use_disk=False, jobs=1)
-        threaded = Engine(cache_dir=tmp_path / "b", use_disk=False, jobs=2)
-        runs_serial = serial.map(SEQUENCE, configs)
-        runs_threaded = threaded.map(SEQUENCE, configs)
-        for a, b in zip(runs_serial, runs_threaded):
-            assert a.config == b.config
-            assert np.array_equal(a.timestamps, b.timestamps)
-
     def test_single_flight_same_key(self, tmp_path):
-        engine = Engine(cache_dir=tmp_path, use_disk=True, jobs=4)
+        # A caller's own threads may share one engine: the per-key lock
+        # makes them wait on one compute and share its payload.
+        engine = Engine(cache_dir=tmp_path, use_disk=True)
         request = sequence_config("euroc", "MH_01", 2.0)
-        results = engine.parallel(
-            lambda _: engine.run(SEQUENCE, request), list(range(4))
-        )
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(engine.run, SEQUENCE, request) for _ in range(4)]
+            results = [future.result() for future in futures]
         assert all(r is results[0] for r in results)
         assert engine.stats.computed == 1
-
-    def test_parallel_preserves_order(self, tmp_path):
-        engine = Engine(cache_dir=tmp_path, use_disk=False, jobs=3)
-        assert engine.parallel(lambda x: x * x, [3, 1, 2]) == [9, 1, 4]
 
 
 class TestRegistryIntegration:
@@ -276,8 +262,9 @@ class TestCacheCounters:
     def test_corrupt_blob_counted_separately(self, tmp_path):
         request = sequence_config("euroc", "MH_01", 2.0)
         engine = Engine(cache_dir=tmp_path, use_disk=True)
-        artifact = engine.artifact(SEQUENCE, request)
-        engine.cache.path_for(SEQUENCE.name, artifact.key).write_bytes(b"garbage")
+        engine.run(SEQUENCE, request)
+        key = engine.key_for(SEQUENCE, request)
+        engine.cache.path_for(SEQUENCE.name, key).write_bytes(b"garbage")
 
         fresh = Engine(cache_dir=tmp_path, use_disk=True)
         fresh.run(SEQUENCE, request)
@@ -294,10 +281,13 @@ class TestCacheCounters:
         # disagrees — rewrite one in place to exercise it.
         request = sequence_config("euroc", "MH_01", 2.0)
         engine = Engine(cache_dir=tmp_path, use_disk=True)
-        artifact = engine.artifact(SEQUENCE, request)
-        arrays, meta = SEQUENCE.encode(artifact.payload)
+        arrays, meta = SEQUENCE.encode(engine.run(SEQUENCE, request))
         engine.cache.store(
-            SEQUENCE.name, SEQUENCE.version + "-old", artifact.key, arrays, meta
+            SEQUENCE.name,
+            SEQUENCE.version + "-old",
+            engine.key_for(SEQUENCE, request),
+            arrays,
+            meta,
         )
 
         fresh = Engine(cache_dir=tmp_path, use_disk=True)

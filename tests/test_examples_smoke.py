@@ -155,6 +155,25 @@ class TestServeCli:
         assert not (tmp_path / "cache").exists()
         assert via_flag.read_bytes() == via_env.read_bytes()
 
+    def test_worker_count_below_one_exits_two(self, tmp_path):
+        output = tmp_path / "SERVE_METRICS.json"
+        completed = run_entry_point(
+            [
+                *self.ARGS,
+                "--no-cache",
+                "--backend",
+                "process",
+                "--workers",
+                "-3",
+                "--output",
+                str(output),
+            ],
+            tmp_path,
+        )
+        assert completed.returncode == 2
+        assert "error: workers must be >= 1, got -3" in completed.stderr
+        assert not output.exists()
+
     def test_unknown_profile_exits_two_with_suggestion(self, tmp_path):
         completed = run_entry_point(
             ["-m", "repro.serve", "smokey", "--no-cache"], tmp_path

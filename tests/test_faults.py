@@ -131,14 +131,14 @@ class TestCorruptedCache:
     @pytest.mark.parametrize("mode", ["truncate", "garbage", "empty"])
     def test_engine_recomputes_through_corruption(self, tmp_path, mode, sequence):
         config = sequence.config
-        warm = Engine(cache_dir=tmp_path, jobs=1)
+        warm = Engine(cache_dir=tmp_path)
         reference = warm.run(SEQUENCE, config)
         assert warm.stats.stores >= 1
 
         corrupted = corrupt_cache_artifacts(tmp_path, mode=mode)
         assert corrupted >= 1
 
-        cold = Engine(cache_dir=tmp_path, jobs=1)
+        cold = Engine(cache_dir=tmp_path)
         outcome = graceful_outcome(lambda: cold.run(SEQUENCE, config))
         assert outcome.recovered
         assert cold.stats.computed == 1  # corrupt blob treated as a miss

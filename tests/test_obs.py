@@ -154,52 +154,13 @@ class TestRollup:
         assert "solve" in text and "nls" in text and "100.0%" in text
 
 
-class TestEngineSpans:
-    def test_artifact_fetches_record_provenance(self, tmp_path):
-        from repro.engine import Engine
-        from repro.engine.stage import Stage
-
-        class Doubler(Stage):
-            name = "doubler"
-            version = "1"
-
-            def compute(self, config, engine):
-                return config * 2
-
-        trace = Trace()
-        engine = Engine(use_disk=False, trace=trace)
-        stage = Doubler()
-        assert engine.run(stage, 21) == 42
-        assert engine.run(stage, 21) == 42
-        spans = spans_by(trace.spans, "engine")
-        assert [s.attributes["source"] for s in spans] == ["computed", "memory"]
-        assert all(s.name == "doubler" for s in spans)
-
-    def test_parallel_runs_record_every_fetch(self):
-        from repro.engine import Engine
-        from repro.engine.stage import Stage
-
-        class Ident(Stage):
-            name = "ident"
-            version = "1"
-
-            def compute(self, config, engine):
-                return config
-
-        trace = Trace()
-        engine = Engine(use_disk=False, jobs=4, trace=trace)
-        configs = list(range(32))
-        assert engine.map(Ident(), configs) == configs
-        assert len(spans_by(trace.spans, "engine")) == 32
-
-
 class TestImportFootprint:
     def test_estimator_and_synthesizer_load_no_tracer(self):
-        """Only the engine and the serving tier record spans; the solver
-        and the synthesizer time themselves."""
+        """Only the serving tier records spans; the engine, the solver
+        and the synthesizer load no ``repro.obs`` module."""
         code = (
             "import sys\n"
-            "import repro.slam.estimator, repro.synth\n"
+            "import repro.engine, repro.slam.estimator, repro.synth\n"
             "print(sorted(m for m in sys.modules if m.startswith('repro.obs')))\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"

@@ -34,7 +34,7 @@ def artifacts():
     from repro.testing.scenario_matrix import run_scenario_matrix
 
     run = run_scenario_matrix(
-        scenarios=("tunnel", "highway"), oracle_names=("functional",), jobs=1, quick=True
+        scenarios=("tunnel", "highway"), oracle_names=("functional",), quick=True
     )
     solution = solve_portfolio(default_portfolio_spec("mixed", num_instances=4))
     return {

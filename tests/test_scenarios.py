@@ -188,7 +188,6 @@ class TestScenarioMatrix:
         run = run_scenario_matrix(
             scenarios=("tunnel", "highway"),
             oracle_names=("functional",),
-            jobs=2,
             quick=True,
         )
         assert run.passed
@@ -205,7 +204,6 @@ class TestScenarioMatrix:
         run = run_scenario_matrix(
             scenarios=("tunnel",),
             oracle_names=("functional",),
-            jobs=2,
             quick=True,
             perturb="functional",
         )

@@ -300,6 +300,21 @@ class TestBackends:
                 fleet_profile(), engine=Engine(use_disk=False), backend="fiber"
             ).run()
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, backend, workers):
+        with pytest.raises(ConfigurationError, match=f"workers must be >= 1, got {workers}"):
+            LocalizationService(
+                fleet_profile(),
+                engine=Engine(use_disk=False),
+                backend=backend,
+                workers=workers,
+            )
+
+    def test_fleet_worker_count_below_one_rejected(self):
+        with pytest.raises(ConfigurationError, match="workers must be >= 1, got 0"):
+            run_fleet(fleet_profile(), 2, backend="process", workers=0)
+
     def test_thread_backend_runs_windows_inline_in_submission_order(self, monkeypatch):
         """The thread backend has no pool: a batch's windows run one after
         another on the thread that calls ``run_jobs``, in submission order."""
