@@ -21,7 +21,7 @@ from repro.apps import (
     solve_pose_estimation,
 )
 from repro.baselines import INTEL_COMET_LAKE
-from repro.synth import DesignSpec, Objective, minimize_latency, synthesize
+from repro.synth import DesignSpec, Objective, synthesize
 
 
 def main() -> None:
@@ -50,7 +50,7 @@ def main() -> None:
         ("curve fitting ", curve_fitting_workload()),
         ("pose estimation", pose_estimation_workload()),
     ):
-        fastest = minimize_latency(
+        fastest = synthesize(
             DesignSpec(workload=stats, iterations=iterations, objective=Objective.LATENCY)
         )
         design = synthesize(

@@ -82,7 +82,11 @@ class CacheCounters:
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters, kept per engine and reported by the CLI."""
+    """Hit/miss counters, kept per engine and reported by the CLI.
+
+    Increments are lock-protected, as in :class:`CacheCounters`, so
+    threads that share one engine lose no counts.
+    """
 
     memory_hits: int = 0
     disk_hits: int = 0
@@ -90,12 +94,16 @@ class CacheStats:
     stores: int = 0
     by_stage: dict[str, dict[str, int]] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self._lock = threading.Lock()
+
     def record(self, stage: str, event: str) -> None:
-        setattr(self, event, getattr(self, event) + 1)
-        per_stage = self.by_stage.setdefault(
-            stage, {"memory_hits": 0, "disk_hits": 0, "computed": 0, "stores": 0}
-        )
-        per_stage[event] += 1
+        with self._lock:
+            setattr(self, event, getattr(self, event) + 1)
+            per_stage = self.by_stage.setdefault(
+                stage, {"memory_hits": 0, "disk_hits": 0, "computed": 0, "stores": 0}
+            )
+            per_stage[event] += 1
 
     def summary(self) -> str:
         return (

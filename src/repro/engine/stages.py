@@ -45,9 +45,8 @@ from repro.runtime.controller import RuntimeController, replay_windows
 from repro.runtime.profiler import IterationTable
 from repro.runtime.reconfig import ReconfigurationTable, build_reconfiguration_table
 from repro.slam.estimator import EstimatorConfig, SlidingWindowEstimator
-from repro.synth.spec import DesignSpec, Objective
+from repro.synth.spec import NAMED_DESIGN_SPECS, DesignSpec
 from repro.synth.synthesizer import SynthesisResult, synthesize
-from repro.synth.optimizer import minimize_latency
 
 
 # ----------------------------------------------------------------------
@@ -104,11 +103,6 @@ class ReplayRequest:
 # ----------------------------------------------------------------------
 # Named designs (Tbl. 2) and their reconfiguration tables
 # ----------------------------------------------------------------------
-
-NAMED_DESIGN_SPECS: dict[str, DesignSpec] = {
-    "High-Perf": DesignSpec(latency_budget_s=0.020),
-    "Low-Power": DesignSpec(latency_budget_s=0.033),
-}
 
 _reconfig_lock = threading.Lock()
 _reconfig_memo: dict[str, ReconfigurationTable] = {}
@@ -233,21 +227,6 @@ class SynthesisStage(Stage):
 
     def compute(self, config: DesignSpec, engine):
         del engine
-        if config.objective is Objective.LATENCY:
-            outcome = minimize_latency(config)
-            from repro.hw.resources import DEFAULT_RESOURCE_MODEL
-
-            return SynthesisResult(
-                config=outcome.config,
-                spec=config,
-                latency_s=outcome.latency_s,
-                power_w=outcome.power_w,
-                utilization=DEFAULT_RESOURCE_MODEL.utilization(
-                    outcome.config, config.platform
-                ),
-                solve_seconds=outcome.solve_seconds,
-                evaluated_points=outcome.evaluated_points,
-            )
         return synthesize(config)
 
     def encode(self, payload):

@@ -20,7 +20,6 @@ from repro.synth import (
     biggest_fit_design,
     design_space_metrics,
     high_perf_design,
-    minimize_latency,
     synthesize,
 )
 
@@ -138,7 +137,7 @@ def run_sec77_apps() -> ExperimentResult:
         ("pose estimation (AR)", pose_estimation_workload()),
     ):
         spec = DesignSpec(workload=stats, iterations=iterations, objective=Objective.LATENCY)
-        fastest = minimize_latency(spec)
+        fastest = synthesize(spec)
         # Report the knee design: for these small workloads the latency-
         # resource curve is flat past small configurations, so the
         # fastest-within-5% point is the meaningful design.

@@ -4,8 +4,9 @@
 ``schema`` prefix that identifies it, a declarative field spec, the
 cross-field invariants the spec cannot express, and the one-line summary
 ``python -m repro.obs validate`` prints for a valid file. One walker
-checks every entry, so CI gates each uploaded artifact (``SCENARIOS.json``,
-``PORTFOLIO.json``, ``POLICY.json``, ``POLICY_EVAL.json``) the same way,
+checks every entry, so CI gates each uploaded artifact (``CONFORMANCE.json``,
+``SCENARIOS.json``, ``PORTFOLIO.json``, ``POLICY.json``,
+``POLICY_EVAL.json``) the same way,
 and a half-written or hand-mangled report fails loudly instead of being
 archived as evidence.
 
@@ -119,19 +120,36 @@ class ArtifactSchema:
         return problems or self.invariants(data)
 
 
-def _scenario_invariants(report: dict) -> list[str]:
-    cells = report["cells"]
+def _verdict_problems(report: dict, rows: str) -> list[str]:
+    """A passed row lists no mismatches; the aggregate is all rows passing."""
     problems = [
-        f"cells[{i}] passed but lists mismatches"
-        for i, cell in enumerate(cells)
-        if cell["passed"] and cell["mismatches"]
+        f"{rows}[{i}] passed but lists mismatches"
+        for i, row in enumerate(report[rows])
+        if row["passed"] and row["mismatches"]
     ]
-    all_passed = all(cell["passed"] for cell in cells)
+    all_passed = all(row["passed"] for row in report[rows])
     if report["passed"] != all_passed:
         problems.append(
-            f"aggregate passed={report['passed']} contradicts the cells "
+            f"aggregate passed={report['passed']} contradicts the {rows} "
             f"(all_passed={all_passed})"
         )
+    return problems
+
+
+def _conformance_invariants(report: dict) -> list[str]:
+    problems = _verdict_problems(report, "reports")
+    for key, total in (
+        ("checks", sum(row["checks"] for row in report["reports"])),
+        ("mismatches", sum(len(row["mismatches"]) for row in report["reports"])),
+    ):
+        if report[key] != total:
+            problems.append(f"aggregate {key}={report[key]} is not the reports' sum {total}")
+    return problems
+
+
+def _scenario_invariants(report: dict) -> list[str]:
+    cells = report["cells"]
+    problems = _verdict_problems(report, "cells")
     for key, column in (("scenarios", "scenario"), ("design_points", "design_point")):
         named = {cell[column] for cell in cells}
         if set(report[key]) != named:
@@ -200,6 +218,27 @@ _EVAL_SIDE = Obj({
 
 #: Every artifact kind, keyed by the file name its producing CLI writes.
 ARTIFACTS: dict[str, ArtifactSchema] = {
+    "CONFORMANCE.json": ArtifactSchema(
+        prefix="repro.conformance/",
+        fields={
+            "passed": BOOL,
+            "checks": INT,
+            "mismatches": INT,
+            "reports": Rows({
+                "oracle": TEXT,
+                "workload": TEXT,
+                "passed": BOOL,
+                "checks": INT,
+                "mismatches": LIST,
+                "seconds": NUMBER,
+            }),
+        },
+        invariants=_conformance_invariants,
+        summary=lambda r: (
+            f"valid conformance report ({len(r['reports'])} oracle runs, "
+            f"{'PASS' if r['passed'] else 'FAIL'})"
+        ),
+    ),
     "SCENARIOS.json": ArtifactSchema(
         prefix=SCENARIO_SCHEMA_PREFIX,
         fields={

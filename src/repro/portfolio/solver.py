@@ -21,9 +21,9 @@
 
 When the forecast is a pure regime and the spec admits one config, the
 solve reduces *exactly* to single-config synthesis: the portfolio's only
-entry is ``minimize_power(regime_design_spec(candidate, demand)).config``
-(or ``minimize_latency`` for a LATENCY-objective candidate). A pinned
-differential test holds this equality.
+entry is ``synthesize(regime_design_spec(candidate, demand)).config``,
+under either objective of the candidate. A pinned differential test
+holds this equality.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def regime_design_spec(candidate: DesignSpec, demand: RegimeDemand) -> DesignSpe
     Only the workload and iteration count change; the latency budget,
     platform, resource budget and objective stay the candidate's. This
     is the exact spec the pinned single-config differential test feeds
-    to ``minimize_power`` / ``minimize_latency``.
+    to :func:`repro.synth.synthesize`.
     """
     return replace(candidate, workload=demand.stats, iterations=demand.iterations)
 

@@ -35,7 +35,7 @@ from repro.scenarios import (
     pure,
     resolve_scenario,
 )
-from repro.synth.spec import DesignSpec
+from repro.synth.spec import NAMED_DESIGN_SPECS, DesignSpec
 from repro.utils.validation import lookup
 
 
@@ -308,16 +308,12 @@ class PortfolioSpec:
 
 
 def default_candidates() -> tuple[DesignSpec, ...]:
-    """The default candidate grid: the two named Tbl. 2 budgets.
+    """The default candidate grid: the specs of the named Tbl. 2 designs.
 
-    Mirrors :data:`repro.engine.stages.NAMED_DESIGN_SPECS` — a
-    high-performance 20 ms budget and a low-power 33 ms budget — without
-    importing the engine layer.
+    High-Perf (20 ms budget) then Low-Power (33 ms), read from
+    :data:`repro.synth.spec.NAMED_DESIGN_SPECS`.
     """
-    return (
-        DesignSpec(latency_budget_s=0.020),
-        DesignSpec(latency_budget_s=0.033),
-    )
+    return tuple(NAMED_DESIGN_SPECS.values())
 
 
 def default_portfolio_spec(

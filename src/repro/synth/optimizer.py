@@ -1,18 +1,17 @@
-"""Exact solvers for the synthesis optimization (Equ. 11 / Equ. 12).
+"""The exact solver of the synthesis optimization (Equ. 11 / Equ. 12).
 
 The latency model is separable in the three knobs — the nd term, the nm
 term and the s term contribute additively (with a max against the fixed
 Jacobian latency) — so the full 90,000-point grid can be evaluated with
 three small vectors and broadcasting. ``exhaustive_search`` does exactly
-that in milliseconds and is provably optimal; ``pruned_search`` is a
-coordinate sweep with monotonicity pruning that reaches the same answer
-while touching a fraction of the space (kept for comparison and as the
-analogue of the paper's convex solve).
+that in milliseconds and is provably optimal for either objective; the
+spec's ``objective`` picks Equ. 11 (min power under the latency budget)
+or Equ. 12 (min latency).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -31,13 +30,11 @@ from repro.hw.power import DEFAULT_POWER_MODEL, PowerModel
 from repro.hw.resources import DEFAULT_RESOURCE_MODEL, ResourceModel
 from repro.synth.spec import DesignSpec, Objective
 
-# Shared tie-breaking semantics for both solvers: every feasible point
-# whose score lies within this relative band of the global minimum is a
-# candidate, and the candidate with the smallest tiebreak metric wins
-# (first in lexicographic (nd, nm, s) order on a tiebreak tie). The
-# pruned sweep previously used an absolute 1e-15 window with
-# first-seen-wins, which could disagree with the exhaustive grid on
-# plateaus of the latency surface.
+# Tie-breaking: every feasible point whose score lies within this
+# relative band of the global minimum is a candidate, and the candidate
+# with the smallest tiebreak metric wins (first in lexicographic
+# (nd, nm, s) order on a tiebreak tie), so plateaus of the latency
+# surface resolve the same way on every platform.
 _TIE_RTOL = 1e-12
 
 
@@ -157,15 +154,17 @@ def exhaustive_search(
         tiebreak = power
 
     if not np.isfinite(score).any():
+        # Equ. 12 has no latency bound, so only the resources can fail it.
+        if spec.objective is Objective.POWER:
+            bound = f"meets latency <= {spec.latency_budget_s * 1e3:.1f} ms within"
+        else:
+            bound = f"fits within {spec.resource_budget * 100:g}% of"
         raise InfeasibleDesignError(
-            f"no (nd, nm, s) meets latency <= "
-            f"{spec.latency_budget_s * 1e3:.1f} ms "
-            f"within the resources of {spec.platform.name}"
+            f"no (nd, nm, s) {bound} the resources of {spec.platform.name}"
         )
     # Among in-band points prefer the smallest tiebreak metric; the
     # stable sort makes the lexicographically first (nd, nm, s) win
-    # on exact tiebreak ties — the same total order pruned_search
-    # maintains incrementally.
+    # on exact tiebreak ties.
     best = np.min(score)
     candidates = np.argwhere(score <= best * (1 + _TIE_RTOL))
     order = np.argsort(
@@ -182,110 +181,3 @@ def exhaustive_search(
         solve_seconds=perf_counter() - started,
         evaluated_points=int(score.size),
     )
-
-
-def pruned_search(
-    spec: DesignSpec,
-    resource_model: ResourceModel = DEFAULT_RESOURCE_MODEL,
-    power_model: PowerModel = DEFAULT_POWER_MODEL,
-) -> SearchOutcome:
-    """Monotonicity-pruned search reaching the same optimum.
-
-    For the POWER objective: power is strictly increasing in every knob,
-    so knobs are swept in increasing-power order and a (nd, nm) pair is
-    abandoned as soon as its cheapest completion already exceeds the
-    incumbent band.
-
-    Tie-breaking matches :func:`exhaustive_search` exactly: a running
-    candidate set keeps every feasible point within ``_TIE_RTOL`` of the
-    current best score (filtered whenever the minimum drops), and the
-    winner is the candidate with the smallest tiebreak metric,
-    lexicographically first (nd, nm, s) on a tie — the incremental form
-    of the exhaustive band + stable argsort.
-    """
-    started = perf_counter()
-    nd_values, nm_values, s_values, latency = _latency_grid(spec)
-    feasible = _feasibility_grid(
-        spec, nd_values, nm_values, s_values, resource_model
-    )
-
-    min_score = np.inf
-    # In-band (score, tiebreak, power, latency, config) tuples in
-    # sweep (= lexicographic) order.
-    candidates: list[tuple[float, float, float, float, HardwareConfig]] = []
-    touched = 0
-    minimize_power_objective = spec.objective is Objective.POWER
-
-    def band() -> float:
-        return min_score * (1 + _TIE_RTOL)
-
-    for i, nd in enumerate(nd_values):
-        # Cheapest possible completion of this nd.
-        floor = power_model.power(
-            HardwareConfig(int(nd), int(nm_values[0]), int(s_values[0]))
-        )
-        if minimize_power_objective and floor > band():
-            break  # nd only grows from here; all further power floors do too
-        for j, nm in enumerate(nm_values):
-            floor = power_model.power(
-                HardwareConfig(int(nd), int(nm), int(s_values[0]))
-            )
-            if minimize_power_objective and floor > band():
-                break
-            for k, s in enumerate(s_values):
-                touched += 1
-                config = HardwareConfig(int(nd), int(nm), int(s))
-                power = power_model.power(config)
-                if minimize_power_objective and power > band():
-                    break  # s only grows power further
-                if not feasible[i, j, k]:
-                    continue
-                lat = latency[i, j, k]
-                if minimize_power_objective:
-                    if lat > spec.latency_budget_s:
-                        continue
-                    score, tiebreak = power, lat
-                else:
-                    score, tiebreak = lat, power
-                if score < min_score:
-                    min_score = score
-                    candidates = [
-                        c for c in candidates if c[0] <= band()
-                    ]
-                if score <= band():
-                    candidates.append((score, tiebreak, power, lat, config))
-
-    if not candidates:
-        raise InfeasibleDesignError(
-            f"no (nd, nm, s) meets the constraints on {spec.platform.name}"
-        )
-    winner = candidates[0]
-    for candidate in candidates[1:]:
-        if candidate[1] < winner[1]:  # strict: first-seen wins ties
-            winner = candidate
-    return SearchOutcome(
-        config=winner[4],
-        power_w=winner[2],
-        latency_s=winner[3],
-        solve_seconds=perf_counter() - started,
-        evaluated_points=touched,
-    )
-
-
-def minimize_power(spec: DesignSpec, **kwargs) -> SearchOutcome:
-    """Equ. 11: min power subject to latency and resource constraints."""
-    # dataclasses.replace keeps every other field — the old hand-copied
-    # constructor silently reset any field it didn't enumerate.
-    if spec.objective is not Objective.POWER:
-        spec = replace(spec, objective=Objective.POWER)
-    return exhaustive_search(spec, **kwargs)
-
-
-def minimize_latency(spec: DesignSpec, **kwargs) -> SearchOutcome:
-    """Equ. 12: min latency subject to resource constraints only."""
-    spec = replace(
-        spec,
-        latency_budget_s=max(spec.latency_budget_s, 1e-9),
-        objective=Objective.LATENCY,
-    )
-    return exhaustive_search(spec, **kwargs)

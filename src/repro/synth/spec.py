@@ -2,7 +2,8 @@
 
 A :class:`DesignSpec` fixes the constraints of Equ. 11/12 — the latency
 target, the FPGA resource budget, the workload the latency model is
-evaluated on, and the optimization objective.
+evaluated on, and the optimization objective. :data:`NAMED_DESIGN_SPECS`
+holds the specs of the two named designs of Tbl. 2.
 """
 
 from __future__ import annotations
@@ -53,3 +54,11 @@ class DesignSpec:
             raise ConfigurationError("resource_budget must be in (0, 1]")
         if self.iterations < 1:
             raise ConfigurationError("iterations must be >= 1")
+
+
+#: Tbl. 2's named designs: minimum power on the ZC706 under a 20 ms
+#: (High-Perf) and a 33 ms (Low-Power) per-window budget.
+NAMED_DESIGN_SPECS: dict[str, DesignSpec] = {
+    "High-Perf": DesignSpec(latency_budget_s=0.020),
+    "Low-Power": DesignSpec(latency_budget_s=0.033),
+}

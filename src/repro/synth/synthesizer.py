@@ -1,11 +1,13 @@
 """End-to-end synthesis: spec in, concrete accelerator out.
 
-``synthesize`` runs the constrained optimization, packages the chosen
-(nd, nm, s) with its predicted latency/power/utilization, and can emit
-the synthesizable Verilog for the design. ``high_perf_design`` and
-``low_power_design`` are the two named designs of Tbl. 2 (optimized
-under 20 ms and 33 ms respectively); ``biggest_fit_design`` is the
-Sec. 7.7 flow that packs the largest design a given board can hold.
+``synthesize`` solves the spec's constrained optimization, Equ. 11 or
+Equ. 12 as its objective says, packages the chosen (nd, nm, s) with its
+predicted latency/power/utilization, and can emit the synthesizable
+Verilog for the design. ``high_perf_design`` and ``low_power_design``
+synthesize the two named designs of Tbl. 2
+(:data:`~repro.synth.spec.NAMED_DESIGN_SPECS`); ``biggest_fit_design``
+is the Sec. 7.7 flow that packs the largest design a given board can
+hold.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.hw.config import HardwareConfig
-from repro.hw.fpga import FpgaPlatform, ZC706
-from repro.hw.power import DEFAULT_POWER_MODEL, PowerModel
-from repro.hw.resources import DEFAULT_RESOURCE_MODEL, ResourceModel
-from repro.synth.optimizer import exhaustive_search, minimize_latency
-from repro.synth.spec import DesignSpec, Objective
+from repro.hw.fpga import FpgaPlatform
+from repro.hw.resources import DEFAULT_RESOURCE_MODEL
+from repro.synth.optimizer import exhaustive_search
+from repro.synth.spec import NAMED_DESIGN_SPECS, DesignSpec, Objective
 
 
 @dataclass(frozen=True)
@@ -43,46 +44,30 @@ class SynthesisResult:
         return emit_design(self.config, self.spec.platform)
 
 
-def synthesize(
-    spec: DesignSpec,
-    resource_model: ResourceModel = DEFAULT_RESOURCE_MODEL,
-    power_model: PowerModel = DEFAULT_POWER_MODEL,
-) -> SynthesisResult:
+def synthesize(spec: DesignSpec) -> SynthesisResult:
     """Solve the spec's optimization and return the chosen design."""
-    outcome = exhaustive_search(spec, resource_model, power_model)
+    outcome = exhaustive_search(spec)
     return SynthesisResult(
         config=outcome.config,
         spec=spec,
         latency_s=outcome.latency_s,
         power_w=outcome.power_w,
-        utilization=resource_model.utilization(outcome.config, spec.platform),
+        utilization=DEFAULT_RESOURCE_MODEL.utilization(outcome.config, spec.platform),
         solve_seconds=outcome.solve_seconds,
         evaluated_points=outcome.evaluated_points,
     )
 
 
-def high_perf_design(platform: FpgaPlatform = ZC706, **spec_overrides) -> SynthesisResult:
+def high_perf_design() -> SynthesisResult:
     """The Tbl. 2 High-Perf design: min power under a 20 ms budget."""
-    spec = DesignSpec(latency_budget_s=0.020, platform=platform, **spec_overrides)
-    return synthesize(spec)
+    return synthesize(NAMED_DESIGN_SPECS["High-Perf"])
 
 
-def low_power_design(platform: FpgaPlatform = ZC706, **spec_overrides) -> SynthesisResult:
+def low_power_design() -> SynthesisResult:
     """The Tbl. 2 Low-Power design: min power under a 33 ms budget."""
-    spec = DesignSpec(latency_budget_s=0.033, platform=platform, **spec_overrides)
-    return synthesize(spec)
+    return synthesize(NAMED_DESIGN_SPECS["Low-Power"])
 
 
-def biggest_fit_design(platform: FpgaPlatform, **spec_overrides) -> SynthesisResult:
+def biggest_fit_design(platform: FpgaPlatform) -> SynthesisResult:
     """Sec. 7.7: the fastest design that fits the given board (Equ. 12)."""
-    spec = DesignSpec(platform=platform, objective=Objective.LATENCY, **spec_overrides)
-    outcome = minimize_latency(spec)
-    return SynthesisResult(
-        config=outcome.config,
-        spec=spec,
-        latency_s=outcome.latency_s,
-        power_w=outcome.power_w,
-        utilization=DEFAULT_RESOURCE_MODEL.utilization(outcome.config, platform),
-        solve_seconds=outcome.solve_seconds,
-        evaluated_points=outcome.evaluated_points,
-    )
+    return synthesize(DesignSpec(platform=platform, objective=Objective.LATENCY))

@@ -2,7 +2,8 @@
 
 The cells run one after another, oracle first, then workload, and are
 deterministic. The aggregate is serializable to the
-``CONFORMANCE.json`` artifact the CI gate publishes.
+``CONFORMANCE.json`` artifact the CI gate validates
+(``python -m repro.obs validate``) and publishes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from pathlib import Path
 
 from repro.errors import ConfigurationError
 from repro.testing.oracles import ORACLES, ConformanceWorkload, OracleReport
+
+CONFORMANCE_SCHEMA = "repro.conformance/v1"
 
 # The standard scales. "tiny" exercises the degenerate-adjacent small
 # regime, "small" the typical unit-test size, "fig11" approaches the
@@ -54,6 +57,7 @@ class ConformanceRun:
 
     def to_dict(self) -> dict:
         return {
+            "schema": CONFORMANCE_SCHEMA,
             "passed": self.passed,
             "checks": self.total_checks,
             "mismatches": self.num_mismatches,

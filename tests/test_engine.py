@@ -6,6 +6,7 @@ in-process memo, or decoded from a cold disk cache — and a new cache
 key the moment any request field changes.
 """
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -180,7 +181,7 @@ class TestStageCodecs:
         assert trace_a.worst_case_seconds == trace_b.worst_case_seconds
 
     def test_synthesis_round_trip(self, tmp_path):
-        from repro.engine.stages import NAMED_DESIGN_SPECS
+        from repro.synth import NAMED_DESIGN_SPECS
 
         spec = NAMED_DESIGN_SPECS["High-Perf"]
         warm = Engine(cache_dir=tmp_path, use_disk=True)
@@ -217,6 +218,31 @@ class TestParallelRunner:
             results = [future.result() for future in futures]
         assert all(r is results[0] for r in results)
         assert engine.stats.computed == 1
+
+    def test_threads_sharing_an_engine_lose_no_counts(self):
+        # A GIL switch between the read and the write of an unlocked
+        # counter increment drops counts; switching every microsecond
+        # made 20,000 calls per thread lose some on every run.
+        from repro.synth import DesignSpec
+
+        calls = 20_000
+        spec = DesignSpec()
+        engine = Engine(use_disk=False)
+        engine.run(SYNTHESIS, spec)
+
+        def hammer(_):
+            for _ in range(calls):
+                engine.run(SYNTHESIS, spec)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                list(pool.map(hammer, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(previous)
+        assert engine.stats.memory_hits == 4 * calls
+        assert engine.stats.by_stage[SYNTHESIS.name]["memory_hits"] == 4 * calls
 
 
 class TestRegistryIntegration:

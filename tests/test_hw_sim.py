@@ -14,29 +14,6 @@ from repro.hw.sim import (
     simulate_cholesky,
     simulate_jacobian_pipeline,
 )
-from repro.hw.sim.engine import EventQueue
-
-
-class TestEventQueue:
-    def test_orders_by_time(self):
-        q = EventQueue()
-        q.push(3.0, "c")
-        q.push(1.0, "a")
-        q.push(2.0, "b")
-        assert [q.pop().payload for _ in range(3)] == ["a", "b", "c"]
-
-    def test_fifo_for_ties(self):
-        q = EventQueue()
-        q.push(1.0, "first")
-        q.push(1.0, "second")
-        assert q.pop().payload == "first"
-
-    def test_rejects_past(self):
-        q = EventQueue()
-        q.push(5.0)
-        q.pop()
-        with pytest.raises(ValueError):
-            q.push(1.0)
 
 
 class TestCholeskySim:

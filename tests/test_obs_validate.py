@@ -1,8 +1,9 @@
 """Mutation table for ``repro.obs.validate``: every schema check bites.
 
 One valid fixture per artifact kind: the committed ``POLICY.json`` and
-``POLICY_EVAL.json``, a solved ``PORTFOLIO.json`` report and a quick
-scenario-matrix ``SCENARIOS.json`` report. Each mutant breaks one check
+``POLICY_EVAL.json``, a solved ``PORTFOLIO.json`` report, a two-cell
+``CONFORMANCE.json`` report and a quick scenario-matrix
+``SCENARIOS.json`` report. Each mutant breaks one check
 (type, missing key, empty list, enum, bound, cross-field, digest) and
 must be rejected. ``POLICY.json`` mutants are re-digested unless they
 edit the digest, so each one reaches the rule it targets instead of
@@ -27,6 +28,14 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DROP = object()  # edit value: delete the key
 
 
+def conformance_report(**kwargs) -> dict:
+    """A conformance run on the tiny quick workload, as its JSON reads."""
+    from repro.testing import QUICK_WORKLOADS, run_conformance
+
+    run = run_conformance(workloads=QUICK_WORKLOADS[:1], **kwargs)
+    return json.loads(json.dumps(run.to_dict()))
+
+
 @pytest.fixture(scope="module")
 def artifacts():
     from repro.portfolio import default_portfolio_spec, solve_portfolio
@@ -38,6 +47,7 @@ def artifacts():
     )
     solution = solve_portfolio(default_portfolio_spec("mixed", num_instances=4))
     return {
+        "CONFORMANCE.json": conformance_report(oracle_names=("functional", "trace")),
         "SCENARIOS.json": json.loads(json.dumps(run.to_dict())),
         "PORTFOLIO.json": json.loads(json.dumps(portfolio_report(solution))),
         "POLICY.json": json.loads((REPO_ROOT / "POLICY.json").read_text()),
@@ -95,6 +105,28 @@ MUTANTS = [
             ("schema-type", {"schema": 1}),
         )
     ],
+    # CONFORMANCE.json
+    ("CONFORMANCE.json", "passed-type", {"passed": "yes"}),
+    ("CONFORMANCE.json", "passed-missing", {"passed": DROP}),
+    ("CONFORMANCE.json", "checks-type", {"checks": "8"}),
+    ("CONFORMANCE.json", "checks-bool", {"checks": True}),
+    ("CONFORMANCE.json", "checks-missing", {"checks": DROP}),
+    ("CONFORMANCE.json", "mismatches-type", {"mismatches": []}),
+    ("CONFORMANCE.json", "mismatches-missing", {"mismatches": DROP}),
+    ("CONFORMANCE.json", "reports-empty", {"reports": []}),
+    ("CONFORMANCE.json", "reports-type", {"reports": "reports"}),
+    ("CONFORMANCE.json", "reports-missing", {"reports": DROP}),
+    ("CONFORMANCE.json", "report-not-object", {"reports.0": 5}),
+    *_fields("CONFORMANCE.json", "reports.0.", {
+        "oracle": 1, "workload": "", "passed": "yes", "checks": 8.0,
+        "mismatches": {}, "seconds": "0.1",
+    }),
+    ("CONFORMANCE.json", "passed-report-lists-mismatches",
+     {"reports.0.mismatches": ["x"], "mismatches": 1}),
+    ("CONFORMANCE.json", "aggregate-passed-contradicts", {"passed": False}),
+    ("CONFORMANCE.json", "failed-report-under-pass", {"reports.0.passed": False}),
+    ("CONFORMANCE.json", "checks-sum-mismatch", {"checks": lambda c: c + 1}),
+    ("CONFORMANCE.json", "mismatches-sum-mismatch", {"mismatches": 1}),
     # SCENARIOS.json
     ("SCENARIOS.json", "passed-type", {"passed": "yes"}),
     ("SCENARIOS.json", "passed-missing", {"passed": DROP}),
@@ -231,6 +263,13 @@ MUTANTS = [
 def test_fixture_is_valid_and_dispatches_to_its_entry(artifacts, name):
     assert find_schema(artifacts[name]) is ARTIFACTS[name]
     assert ARTIFACTS[name].problems(artifacts[name]) == []
+
+
+def test_failed_conformance_report_is_valid():
+    """A perturbed run fails, and its report is still a well-formed file."""
+    report = conformance_report(oracle_names=("backend",), perturb="backend")
+    assert report["passed"] is False and report["mismatches"] > 0
+    assert ARTIFACTS["CONFORMANCE.json"].problems(report) == []
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ The load-bearing properties:
 * the solver always returns a deployable fleet (counts sum to the
   instance budget, configs within the cap) and reduces *exactly* to
   single-config synthesis for a pure regime — the pinned differential
-  against ``minimize_power`` / ``minimize_latency``;
+  against ``synthesize`` under either objective;
 * partial-reconfiguration charges are zero on self-swap, symmetric, and
   strictly positive across distinct configs, and a drift swap needs more
   than the model's improvement margin;
@@ -49,8 +49,7 @@ from repro.portfolio.__main__ import portfolio_report
 from repro.scenarios import REGIMES
 from repro.serve import LoadProfile
 from repro.serve.service import LocalizationService
-from repro.synth.optimizer import minimize_latency, minimize_power
-from repro.synth.spec import DesignSpec, Objective
+from repro.synth import DesignSpec, Objective, synthesize
 from repro.testing.strategies import portfolio_specs, traffic_forecasts
 
 
@@ -156,7 +155,7 @@ class TestSolver:
         )
         solution = solve_portfolio(spec)
         (demand,) = regime_demands(fc)
-        outcome = minimize_power(regime_design_spec(candidate, demand))
+        outcome = synthesize(regime_design_spec(candidate, demand))
         (entry,) = solution.entries
         assert entry.config == outcome.config
         assert entry.count == 2
@@ -174,7 +173,7 @@ class TestSolver:
         )
         solution = solve_portfolio(spec)
         (demand,) = regime_demands(fc)
-        outcome = minimize_latency(regime_design_spec(candidate, demand))
+        outcome = synthesize(regime_design_spec(candidate, demand))
         assert solution.entries[0].config == outcome.config
         assert solution.expected_latency_s == pytest.approx(
             window_latency_seconds(

@@ -1,11 +1,15 @@
 """Tests for the synthesizer: optimization, Pareto frontier, DSE."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, InfeasibleDesignError
-from repro.hw import DEFAULT_RESOURCE_MODEL
+from repro.hw import DEFAULT_POWER_MODEL, DEFAULT_RESOURCE_MODEL, HardwareConfig
 from repro.hw.fpga import KINTEX7_160T, VIRTEX7_690T, ZC706
+from repro.hw.latency import window_latency_seconds
 from repro.synth import (
     DesignSpec,
     Objective,
@@ -15,11 +19,9 @@ from repro.synth import (
     exhaustive_flow_years,
     high_perf_design,
     low_power_design,
-    minimize_latency,
-    minimize_power,
     pareto_frontier,
     perturb_and_validate,
-    pruned_search,
+    synthesize,
 )
 
 
@@ -34,20 +36,6 @@ class TestDesignSpec:
 
 
 class TestOptimizers:
-    def test_exhaustive_and_pruned_agree(self):
-        for budget_ms in (20.0, 33.0, 60.0):
-            spec = DesignSpec(latency_budget_s=budget_ms / 1e3)
-            a = exhaustive_search(spec)
-            b = pruned_search(spec)
-            assert a.config == b.config
-            assert a.power_w == pytest.approx(b.power_w)
-
-    def test_pruned_touches_fewer_points(self):
-        spec = DesignSpec(latency_budget_s=0.033)
-        a = exhaustive_search(spec)
-        b = pruned_search(spec)
-        assert b.evaluated_points < a.evaluated_points
-
     def test_solution_meets_constraints(self):
         spec = DesignSpec(latency_budget_s=0.025)
         outcome = exhaustive_search(spec)
@@ -63,11 +51,23 @@ class TestOptimizers:
         with pytest.raises(InfeasibleDesignError):
             exhaustive_search(DesignSpec(latency_budget_s=0.001))
 
+    def test_latency_infeasibility_names_no_latency_budget(self):
+        """Equ. 12 ignores the latency budget, so its error names only
+        the platform and the resource budget."""
+        spec = DesignSpec(resource_budget=0.05, objective=Objective.LATENCY)
+        with pytest.raises(InfeasibleDesignError) as refused:
+            exhaustive_search(spec)
+        message = str(refused.value)
+        assert "latency" not in message and "20.0 ms" not in message
+        assert "5%" in message and spec.platform.name in message
+
     def test_minimize_latency_ignores_budget(self):
         spec = DesignSpec(latency_budget_s=0.5, objective=Objective.LATENCY)
-        outcome = minimize_latency(spec)
-        assert outcome.latency_s < 0.025  # near the feasible floor
-        assert DEFAULT_RESOURCE_MODEL.fits(outcome.config, spec.platform)
+        result = synthesize(spec)
+        assert result.latency_s < 0.025  # near the feasible floor
+        assert DEFAULT_RESOURCE_MODEL.fits(result.config, spec.platform)
+        tight = synthesize(DesignSpec(latency_budget_s=1e-6, objective=Objective.LATENCY))
+        assert tight.config == result.config
 
     def test_solve_is_fast(self):
         """Sec. 7.3: design identification takes seconds, not years."""
@@ -159,13 +159,18 @@ class TestDse:
 
 
 class TestSearchEquivalence:
-    """Differential sweep: pruned and exhaustive must agree exactly.
+    """Differential sweep: the broadcast grid solver against the scalar
+    models, point by point.
 
-    The two solvers historically used different tie-breaking (absolute
-    1e-15 first-seen-wins vs a relative 1e-12 band with a stable
-    tiebreak sort); they now share one semantics, so on any spec they
-    must return the identical HardwareConfig tuple.
+    ``exhaustive_search`` scores the (clipped) space as one broadcast
+    latency grid and picks its argmin by relative band, then tiebreak
+    metric, then lexicographic (nd, nm, s) order. The reference scores
+    every point of the same clipped space with ``window_latency_seconds``,
+    ``DEFAULT_POWER_MODEL.power`` and ``DEFAULT_RESOURCE_MODEL.fits`` in
+    a plain loop and applies the same selection rule.
     """
+
+    BOUND = HardwareConfig(10, 10, 24)
 
     def _random_spec(self, rng, objective):
         from repro.data.stats import WindowStats
@@ -186,8 +191,8 @@ class TestSearchEquivalence:
         if objective is Objective.LATENCY:
             return spec
         # POWER needs a satisfiable budget: derive one from the latency
-        # optimum of the same workload.
-        floor = minimize_latency(spec).latency_s
+        # optimum of the same workload in the same clipped space.
+        floor = exhaustive_search(spec, upper_bound=self.BOUND).latency_s
         return DesignSpec(
             latency_budget_s=floor * float(rng.uniform(1.05, 3.0)),
             workload=stats,
@@ -196,20 +201,47 @@ class TestSearchEquivalence:
             objective=Objective.POWER,
         )
 
+    def _reference(self, spec):
+        """The scalar-model optimum's config, by the grid's selection rule."""
+        points = []
+        for knobs in itertools.product(
+            *(range(1, bound + 1) for bound in self.BOUND.as_tuple())
+        ):
+            config = HardwareConfig(*knobs)
+            if not DEFAULT_RESOURCE_MODEL.fits(config, spec.platform, spec.resource_budget):
+                continue
+            latency = window_latency_seconds(
+                spec.workload, config, spec.iterations, spec.platform
+            )
+            power = DEFAULT_POWER_MODEL.power(config)
+            if spec.objective is Objective.LATENCY:
+                points.append((latency, power, config))
+            elif latency <= spec.latency_budget_s:
+                points.append((power, latency, config))
+        best = min(score for score, _, _ in points)
+        _, _, config = min(
+            (p for p in points if p[0] <= best * (1 + 1e-12)),
+            key=lambda p: (p[1], p[2].as_tuple()),
+        )
+        return config
+
     @pytest.mark.parametrize("objective", [Objective.LATENCY, Objective.POWER])
     def test_randomized_sweep_agrees(self, objective):
         rng = np.random.default_rng(20260806)
         for _ in range(20):
             spec = self._random_spec(rng, objective)
-            a = exhaustive_search(spec)
-            b = pruned_search(spec)
-            assert (a.config.nd, a.config.nm, a.config.s) == (
-                b.config.nd,
-                b.config.nm,
-                b.config.s,
-            ), f"solvers disagree on {spec}"
-            assert a.power_w == b.power_w
-            assert a.latency_s == b.latency_s
+            outcome = exhaustive_search(spec, upper_bound=self.BOUND)
+            config = self._reference(spec)
+            assert outcome.config == config, f"grid and scalar models disagree on {spec}"
+            assert outcome.power_w == pytest.approx(
+                DEFAULT_POWER_MODEL.power(config), rel=1e-12
+            )
+            assert outcome.latency_s == pytest.approx(
+                window_latency_seconds(
+                    spec.workload, config, spec.iterations, spec.platform
+                ),
+                rel=1e-12,
+            )
 
     def test_solve_seconds_come_from_spans(self):
         outcome = exhaustive_search(DesignSpec(latency_budget_s=0.033))
@@ -217,8 +249,8 @@ class TestSearchEquivalence:
 
 
 class TestSpecFieldPreservation:
-    """minimize_power/minimize_latency must keep every DesignSpec field
-    (the old hand-copied constructor silently reset unlisted fields)."""
+    """Every DesignSpec field reaches the solve (a hand-copied spec
+    constructor once silently reset the fields it didn't enumerate)."""
 
     def _custom_spec(self):
         from repro.data.stats import WindowStats
@@ -237,41 +269,12 @@ class TestSpecFieldPreservation:
             objective=Objective.LATENCY,
         )
 
-    def test_minimize_power_round_trips_fields(self):
-        import dataclasses
-
-        spec = self._custom_spec()
-        outcome = minimize_power(spec)
-        expected = exhaustive_search(
-            dataclasses.replace(spec, objective=Objective.POWER)
-        )
-        assert outcome.config == expected.config
-        assert outcome.power_w == expected.power_w
-
-    def test_minimize_latency_round_trips_fields(self):
-        import dataclasses
-
-        spec = self._custom_spec()
-        outcome = minimize_latency(spec)
-        expected = exhaustive_search(
-            dataclasses.replace(spec, objective=Objective.LATENCY)
-        )
-        assert outcome.config == expected.config
-        assert outcome.latency_s == expected.latency_s
-
     def test_non_default_budget_changes_the_answer(self):
         """Regression guard: the preserved fields actually matter — a
-        tight resource budget must steer minimize_power elsewhere."""
+        tight resource budget must steer the solve elsewhere."""
         spec = self._custom_spec()
-        tight = dataclasses_replace_budget(spec, 0.85)
-        loose = dataclasses_replace_budget(spec, 1.0)
-        a = minimize_latency(tight)
-        b = minimize_latency(loose)
+        a = synthesize(dataclasses.replace(spec, resource_budget=0.85))
+        b = synthesize(dataclasses.replace(spec, resource_budget=1.0))
+        assert a.spec.resource_budget == 0.85
         assert a.latency_s > b.latency_s
         assert a.config != b.config
-
-
-def dataclasses_replace_budget(spec, budget):
-    import dataclasses
-
-    return dataclasses.replace(spec, resource_budget=budget)
