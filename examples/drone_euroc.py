@@ -8,8 +8,10 @@ The full on-vehicle story of Fig. 1:
      2-bit saturating counter, memoized clock-gated configurations —
      and compare energy with and without it.
 
-Everything flows through the execution engine, so a second invocation
-replays the cached artifacts instead of recomputing them.
+The sequence, the design and the estimator run flow through the
+execution engine, so a second invocation reads the cached artifacts
+instead of recomputing them; the controller replay is milliseconds of
+table lookups over the run and is simply recomputed.
 
 Run: python examples/drone_euroc.py
 Set REPRO_EXAMPLE_DURATION to shorten the sequence (e.g. smoke tests).
@@ -23,13 +25,13 @@ from repro.engine import (
     ESTIMATOR,
     EstimatorRequest,
     PolicySpec,
-    REPLAY,
-    ReplayRequest,
     SEQUENCE,
+    design_reconfiguration,
     get_engine,
     named_design,
     sequence_config,
 )
+from repro.runtime import IterationTable, replay_windows
 from repro.slam import EstimatorConfig, absolute_trajectory_error
 
 
@@ -62,7 +64,11 @@ def main() -> None:
           f"max {max(run.feature_counts)}")
 
     # Replay the workload through the controller for energy accounting.
-    replay = engine.run(REPLAY, ReplayRequest(run=request, design="High-Perf"))
+    replay = replay_windows(
+        [w.stats for w in run.windows],
+        IterationTable(),
+        design_reconfiguration("High-Perf", engine),
+    )
     print(f"\nrun-time optimization:")
     print(f"  static energy  : {replay.total_static_energy_j * 1e3:.1f} mJ")
     print(f"  dynamic energy : {replay.total_energy_j * 1e3:.1f} mJ")

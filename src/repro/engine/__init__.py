@@ -1,11 +1,12 @@
 """The artifact/stage execution engine.
 
 Every expensive computation in the reproduction — sequence synthesis,
-estimator runs, hardware co-simulation, synthesis solves, runtime
-replays — is a typed :class:`~repro.engine.stage.Stage` keyed by the
-content of its configuration. The :class:`~repro.engine.engine.Engine`
-memoizes stage products in process and persists them in a
-content-addressed cache under ``.repro_cache/``. See
+estimator runs, synthesis solves, controller-policy training — is a
+typed :class:`~repro.engine.stage.Stage` keyed by the content of its
+configuration. The :class:`~repro.engine.engine.Engine` memoizes stage
+products in process and persists them in a content-addressed cache
+under ``.repro_cache/``. Cheap work derived from a cached estimator run
+(the controller replay, the trace co-simulation) is not a stage. See
 ``docs/engine.md`` for the cache layout and invalidation rules.
 
 Typical use::
@@ -30,17 +31,13 @@ from repro.engine.stage import Stage
 from repro.engine.stages import (
     ESTIMATOR,
     POLICY,
-    REPLAY,
     SEQUENCE,
     SYNTHESIS,
-    TRACE,
     EstimatorRequest,
     PolicySpec,
     PolicyStage,
-    ReplayRequest,
     SequenceStage,
     SynthesisStage,
-    TraceRequest,
     design_reconfiguration,
     named_design,
     sequence_config,
@@ -59,17 +56,13 @@ __all__ = [
     "get_engine",
     "SEQUENCE",
     "ESTIMATOR",
-    "TRACE",
     "SYNTHESIS",
-    "REPLAY",
     "POLICY",
     "EstimatorRequest",
     "PolicySpec",
     "PolicyStage",
-    "ReplayRequest",
     "SequenceStage",
     "SynthesisStage",
-    "TraceRequest",
     "design_reconfiguration",
     "named_design",
     "sequence_config",

@@ -32,6 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.errors import ConfigurationError, DataError
+
 _META_KEY = "__engine_meta__"
 
 
@@ -122,8 +124,13 @@ class ArtifactCache:
     def path_for(self, stage_name: str, key: str) -> Path:
         return self.cache_dir / stage_name / f"{key}.npz"
 
-    def load(self, stage_name: str, stage_version: str, key: str):
-        """Return ``(arrays, meta)`` or ``None`` on miss/stale/corrupt."""
+    def load(self, stage_name: str, stage_version: str, key: str, decode):
+        """Return ``decode(arrays, meta)``, or ``None`` on miss/stale/corrupt.
+
+        A blob that parses but does not decode (an array missing, a
+        field of the wrong shape, meta a codec rejects with a typed
+        error) is a corrupt miss like a truncated one.
+        """
         path = self.path_for(stage_name, key)
         if not path.exists():
             self.counters.record("misses")
@@ -141,19 +148,25 @@ class ArtifactCache:
                     self.counters.record("misses", "stale_misses")
                     return None
                 arrays = {k: data[k] for k in data.files if k != _META_KEY}
+            payload = decode(arrays, engine_meta.get("codec_meta", {}))
             self.counters.record("hits")
-            return arrays, engine_meta.get("codec_meta", {})
+            return payload
         except (
             OSError,
             ValueError,
             KeyError,
+            IndexError,
+            TypeError,
+            ConfigurationError,
+            DataError,
             EOFError,
             json.JSONDecodeError,
             zipfile.BadZipFile,
             zlib.error,
         ):
             # Unreadable/corrupt blob (truncated zip, flipped bytes,
-            # bad JSON, ...): recompute rather than fail.
+            # bad JSON, a codec array missing, ...): recompute rather
+            # than fail.
             self.counters.record("misses", "corrupt_blob_misses")
             return None
 

@@ -17,8 +17,6 @@ import numpy as np
 from repro.data.stats import WindowStats
 from repro.hw.config import HardwareConfig
 from repro.hw.fpga import FpgaPlatform
-from repro.hw.sim.trace import TraceSimulation
-from repro.runtime.controller import ReplayResult, WindowDecision
 from repro.slam.estimator import RunResult, WindowResult
 from repro.slam.nls import StageTimings
 from repro.synth.spec import DesignSpec, Objective
@@ -136,79 +134,6 @@ def decode_run_result(arrays, meta) -> RunResult:
     run.feature_counts = [int(v) for v in arrays["feature_counts"]]
     run.iterations_used = [int(v) for v in arrays["iterations_used"]]
     return run
-
-
-# ----------------------------------------------------------------------
-# TraceSimulation
-# ----------------------------------------------------------------------
-
-def encode_trace(trace: TraceSimulation) -> tuple[dict[str, np.ndarray], dict]:
-    arrays = {
-        "seconds": _float_array(trace.seconds),
-        "energies_j": _float_array(trace.energies_j),
-        "simulated_cycles": _float_array(trace.simulated_cycles),
-        "analytical_cycles": _float_array(trace.analytical_cycles),
-    }
-    return arrays, {}
-
-
-def decode_trace(arrays, meta) -> TraceSimulation:
-    del meta
-    return TraceSimulation(
-        seconds=[float(v) for v in arrays["seconds"]],
-        energies_j=[float(v) for v in arrays["energies_j"]],
-        simulated_cycles=[float(v) for v in arrays["simulated_cycles"]],
-        analytical_cycles=[float(v) for v in arrays["analytical_cycles"]],
-    )
-
-
-# ----------------------------------------------------------------------
-# ReplayResult (runtime controller)
-# ----------------------------------------------------------------------
-
-def encode_replay(replay: ReplayResult) -> tuple[dict[str, np.ndarray], dict]:
-    decisions = replay.decisions
-    arrays = {
-        "feature_count": _int_array(d.feature_count for d in decisions),
-        "proposed_iterations": _int_array(d.proposed_iterations for d in decisions),
-        "applied_iterations": _int_array(d.applied_iterations for d in decisions),
-        "config_nd": _int_array(d.config.nd for d in decisions),
-        "config_nm": _int_array(d.config.nm for d in decisions),
-        "config_s": _int_array(d.config.s for d in decisions),
-        "reconfigured": _int_array(int(d.reconfigured) for d in decisions),
-        "energy_j": _float_array(d.energy_j for d in decisions),
-        "static_energy_j": _float_array(d.static_energy_j for d in decisions),
-        "gated_iter": _int_array(sorted(replay.gated_power_by_iter)),
-        "gated_power": _float_array(
-            replay.gated_power_by_iter[i] for i in sorted(replay.gated_power_by_iter)
-        ),
-    }
-    return arrays, {}
-
-
-def decode_replay(arrays, meta) -> ReplayResult:
-    del meta
-    decisions = tuple(
-        WindowDecision(
-            feature_count=int(arrays["feature_count"][i]),
-            proposed_iterations=int(arrays["proposed_iterations"][i]),
-            applied_iterations=int(arrays["applied_iterations"][i]),
-            config=HardwareConfig(
-                nd=int(arrays["config_nd"][i]),
-                nm=int(arrays["config_nm"][i]),
-                s=int(arrays["config_s"][i]),
-            ),
-            reconfigured=bool(arrays["reconfigured"][i]),
-            energy_j=float(arrays["energy_j"][i]),
-            static_energy_j=float(arrays["static_energy_j"][i]),
-        )
-        for i in range(len(arrays["feature_count"]))
-    )
-    gated = {
-        int(it): float(power)
-        for it, power in zip(arrays["gated_iter"], arrays["gated_power"])
-    }
-    return ReplayResult(decisions=decisions, gated_power_by_iter=gated)
 
 
 # ----------------------------------------------------------------------

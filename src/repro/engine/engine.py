@@ -14,8 +14,9 @@ Computes are single-flight: threads of one caller that request the
 same artifact key block on one computation instead of duplicating it.
 
 A module-level default engine serves library helpers
-(:func:`get_engine`); the experiments CLI reconfigures it from
-``--cache-dir`` / ``--no-cache`` via :func:`configure`.
+(:func:`get_engine`); the CLIs reconfigure it from ``--cache-dir`` /
+``--no-cache`` via :func:`configure`. ``REPRO_NO_CACHE`` turns the disk
+cache off in both.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ DEFAULT_CACHE_DIR = Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
 
 def _disk_cache_enabled() -> bool:
     """False when ``REPRO_NO_CACHE`` is set truthy — the environment
-    analogue of ``--no-cache`` for entry points without CLI flags
-    (examples, smoke tests)."""
+    analogue of ``--no-cache``. Every entry point honors it: the
+    flagless ones through :func:`get_engine`, the CLIs through
+    :func:`configure`."""
     return os.environ.get("REPRO_NO_CACHE", "").lower() not in ("1", "true", "yes")
 
 
@@ -75,9 +77,8 @@ class Engine:
                 self.stats.record(stage.name, "memory_hits")
                 return payload
             if self.cache is not None:
-                blob = self.cache.load(stage.name, stage.version, key)
-                if blob is not None:
-                    payload = stage.decode(*blob)
+                payload = self.cache.load(stage.name, stage.version, key, stage.decode)
+                if payload is not None:
                     self._memory[key] = payload
                     self.stats.record(stage.name, "disk_hits")
                     logger.debug("disk hit %s %s", stage.name, key[:12])
@@ -154,8 +155,14 @@ def configure(
     cache_dir: str | Path | None = DEFAULT_CACHE_DIR,
     use_disk: bool = True,
 ) -> Engine:
-    """Replace the default engine (CLI flags, test fixtures)."""
+    """Replace the default engine (CLI flags, test fixtures).
+
+    ``REPRO_NO_CACHE`` turns the disk cache off here as it does for
+    :func:`get_engine`, whatever ``use_disk`` says.
+    """
     global _default_engine
     with _default_lock:
-        _default_engine = Engine(cache_dir=cache_dir, use_disk=use_disk)
+        _default_engine = Engine(
+            cache_dir=cache_dir, use_disk=use_disk and _disk_cache_enabled()
+        )
         return _default_engine

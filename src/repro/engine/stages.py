@@ -1,20 +1,24 @@
 """The typed stages of the reproduction pipeline.
 
-Five stages cover everything the Sec. 7 harness recomputes by hand
-today; every consumer (experiments, benchmarks, examples) goes through
-them so repeated invocations — across processes — hit the artifact
-cache instead of re-running the estimator:
+Four stages cover the expensive work the Sec. 7 harness, the serving
+tier and the controller trainer share; every consumer (experiments,
+benchmarks, examples) goes through them so repeated invocations —
+across processes — hit the artifact cache instead of re-running the
+estimator:
 
 * :class:`SequenceStage` — synthesize a sensor recording from its
   :class:`~repro.data.sequences.SequenceConfig`;
 * :class:`EstimatorStage` — run the sliding-window estimator over a
   sequence (optionally with a declaratively-specified runtime policy);
-* :class:`TraceStage` — replay an estimator run through the cycle-level
-  accelerator co-simulation;
 * :class:`SynthesisStage` — solve a :class:`~repro.synth.spec.DesignSpec`
   constrained optimization;
-* :class:`ReplayStage` — replay a run's workload through the runtime
-  controller for the Sec. 7.6 energy bookkeeping.
+* :class:`PolicyStage` — train the learned run-time controller.
+
+Work that is cheap next to the estimator run it reads — the runtime
+controller's replay (:func:`repro.runtime.controller.replay_windows`)
+and the cycle co-simulation (:func:`repro.hw.sim.trace.simulate_windows`)
+— is not a stage: callers compute it from the cached
+:class:`~repro.slam.estimator.RunResult`.
 
 Runtime hooks cannot be content-addressed (they are callables), so the
 estimator stage accepts a :class:`PolicySpec` naming the design whose
@@ -38,10 +42,7 @@ from repro.engine import codecs
 from repro.engine.keys import artifact_key
 from repro.engine.stage import Stage
 from repro.errors import ConfigurationError
-from repro.hw.config import HardwareConfig
-from repro.hw.fpga import FpgaPlatform, ZC706
-from repro.hw.sim.trace import simulate_windows
-from repro.runtime.controller import RuntimeController, replay_windows
+from repro.runtime.controller import RuntimeController
 from repro.runtime.profiler import IterationTable
 from repro.runtime.reconfig import ReconfigurationTable, build_reconfiguration_table
 from repro.slam.estimator import EstimatorConfig, SlidingWindowEstimator
@@ -79,25 +80,6 @@ class EstimatorRequest:
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     policy: PolicySpec | None = None
     max_keyframes: int | None = None
-
-
-@dataclass(frozen=True)
-class TraceRequest:
-    """Co-simulate an estimator run on a hardware design."""
-
-    run: EstimatorRequest
-    hardware: HardwareConfig
-    platform: FpgaPlatform = ZC706
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class ReplayRequest:
-    """Replay a run's workload through the runtime controller."""
-
-    run: EstimatorRequest
-    design: str = "High-Perf"
-    table: IterationTable = field(default_factory=IterationTable)
 
 
 # ----------------------------------------------------------------------
@@ -198,29 +180,6 @@ class EstimatorStage(Stage):
         return codecs.decode_run_result(arrays, meta)
 
 
-class TraceStage(Stage):
-    name = "trace-cosim"
-    # v2: consumes estimator-run v2 outputs (batched backend numerics).
-    # v3: consumes estimator-run v3 outputs (SolverPlan solve numerics).
-    # v4: consumes estimator-run v4 outputs (arrow-system marginalization).
-    version = "4"
-
-    def compute(self, config: TraceRequest, engine):
-        run = engine.run(ESTIMATOR, config.run)
-        return simulate_windows(
-            [(w.stats, w.iterations) for w in run.windows],
-            config.hardware,
-            platform=config.platform,
-            seed=config.seed,
-        )
-
-    def encode(self, payload):
-        return codecs.encode_trace(payload)
-
-    def decode(self, arrays, meta):
-        return codecs.decode_trace(arrays, meta)
-
-
 class SynthesisStage(Stage):
     name = "synthesis"
     version = "1"
@@ -258,33 +217,10 @@ class PolicyStage(Stage):
         return ControllerPolicy.from_dict(meta)
 
 
-class ReplayStage(Stage):
-    name = "runtime-replay"
-    # v2: consumes estimator-run v2 outputs (batched backend numerics).
-    # v3: consumes estimator-run v3 outputs (SolverPlan solve numerics).
-    # v4: consumes estimator-run v4 outputs (arrow-system marginalization).
-    version = "4"
-
-    def compute(self, config: ReplayRequest, engine):
-        run = engine.run(ESTIMATOR, config.run)
-        reconfig = design_reconfiguration(config.design, engine)
-        return replay_windows(
-            [w.stats for w in run.windows], config.table, reconfig
-        )
-
-    def encode(self, payload):
-        return codecs.encode_replay(payload)
-
-    def decode(self, arrays, meta):
-        return codecs.decode_replay(arrays, meta)
-
-
 # Singleton stage instances (stages are stateless; share them).
 SEQUENCE = SequenceStage()
 ESTIMATOR = EstimatorStage()
-TRACE = TraceStage()
 SYNTHESIS = SynthesisStage()
-REPLAY = ReplayStage()
 POLICY = PolicyStage()
 
 

@@ -1,10 +1,12 @@
 """Shared experiment infrastructure: result containers, engine-backed
 run access, and table formatting.
 
-All heavy artifacts (sequences, estimator runs, runtime replays) flow
+All heavy artifacts (sequences, estimator runs, synthesis solves) flow
 through the :mod:`repro.engine` execution engine, so repeated experiment
 and benchmark invocations hit the in-process memo or the on-disk
-artifact cache instead of re-running the estimator.
+artifact cache instead of re-running the estimator. The runtime
+controller's replay is recomputed from the cached run: it is
+milliseconds of table lookups.
 """
 
 from __future__ import annotations
@@ -15,15 +17,15 @@ from repro.data.sequences import Sequence
 from repro.data.stats import WindowStats
 from repro.engine import (
     ESTIMATOR,
-    REPLAY,
     SEQUENCE,
     EstimatorRequest,
     PolicySpec,
-    ReplayRequest,
+    design_reconfiguration,
     get_engine,
     sequence_config,
 )
-from repro.runtime.controller import ReplayResult
+from repro.runtime.controller import ReplayResult, replay_windows
+from repro.runtime.profiler import IterationTable
 from repro.slam.estimator import EstimatorConfig, RunResult
 from repro.slam.nls import LMConfig
 
@@ -127,7 +129,11 @@ def get_dynamic_run(
         kind, name, duration, policy=PolicySpec(design=design_name)
     )
     run = engine.run(ESTIMATOR, request)
-    replay = engine.run(REPLAY, ReplayRequest(run=request, design=design_name))
+    replay = replay_windows(
+        run_window_stats(run),
+        IterationTable(),
+        design_reconfiguration(design_name, engine),
+    )
     return run, replay
 
 

@@ -178,10 +178,11 @@ def run_ext_wordlength() -> ExperimentResult:
 
 def run_ext_realtime_margin() -> ExperimentResult:
     """Real-time margin: worst-case window latency vs the keyframe period
-    for the two named designs over actual traces (trace co-simulation,
-    cached per design/trace by the engine's trace stage)."""
-    from repro.engine import TRACE, TraceRequest, get_engine, named_design
+    for the two named designs over actual traces (trace co-simulation
+    of the engine's cached estimator runs)."""
+    from repro.engine import ESTIMATOR, get_engine, named_design
     from repro.experiments.common import estimator_request
+    from repro.hw.sim.trace import simulate_windows
 
     result = ExperimentResult(
         experiment_id="ext-realtime",
@@ -196,12 +197,11 @@ def run_ext_realtime_margin() -> ExperimentResult:
             ("euroc", "MH_01", 14.0),
             ("kitti", "00", KITTI_DURATION_S),
         ):
-            trace = engine.run(
-                TRACE,
-                TraceRequest(
-                    run=estimator_request(kind, trace_name, duration),
-                    hardware=design.config,
-                ),
+            run = engine.run(
+                ESTIMATOR, estimator_request(kind, trace_name, duration)
+            )
+            trace = simulate_windows(
+                [(w.stats, w.iterations) for w in run.windows], design.config
             )
             mean_s = trace.total_seconds / max(len(trace.seconds), 1)
             result.rows.append(

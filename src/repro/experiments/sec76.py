@@ -2,14 +2,14 @@
 
 For each trace we run the estimator twice: once with the static
 iteration cap of 6 and once with the run-time controller's iteration
-policy (feature-count lookup + 2-bit saturating counter). Both runs and
-the controller replay flow through the execution engine
-(:mod:`repro.engine`), so the estimator work is computed once per
-configuration and shared across sec76/sec76b and repeated invocations.
-The replay's memoized reconfiguration table gives per-window gated
-energy, compared against the static design running its full
-provisioning. Accuracy is compared as mean translational error in cm,
-the unit the paper reports.
+policy (feature-count lookup + 2-bit saturating counter). Both runs
+flow through the execution engine (:mod:`repro.engine`), so the
+estimator work is computed once per configuration and shared across
+sec76/sec76b and repeated invocations; the controller replay is
+recomputed from the cached dynamic run. The design's memoized
+reconfiguration table gives per-window gated energy, compared against
+the static design running its full provisioning. Accuracy is compared
+as mean translational error in cm, the unit the paper reports.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ def run_sec76(design_name: str = "High-Perf") -> ExperimentResult:
 def run_sec76_combined() -> ExperimentResult:
     """Fig. 16 revisited with the dynamic optimization enabled on both
     sides (the paper's closing Sec. 7.6 numbers)."""
+    from repro.engine import design_reconfiguration
     from repro.hw.latency import window_latency_seconds
 
     result = ExperimentResult(
@@ -95,6 +96,7 @@ def run_sec76_combined() -> ExperimentResult:
     traces = [("euroc", n, EUROC_DURATION_S) for n in EUROC_TRACES]
     traces += [("kitti", n, KITTI_DURATION_S) for n in KITTI_TRACES]
     for design_name in ("High-Perf", "Low-Power"):
+        reconfig = design_reconfiguration(design_name)
         speedups = {"intel": [], "arm": []}
         energies = {"intel": [], "arm": []}
         for kind, name, duration in traces:
@@ -105,7 +107,7 @@ def run_sec76_combined() -> ExperimentResult:
                     continue
                 iters = decision.applied_iterations
                 t_acc = window_latency_seconds(stats, decision.config, iters)
-                e_acc = t_acc * replay.gated_power(iters)
+                e_acc = t_acc * reconfig.gated_power(iters)
                 for tag, platform in (("intel", INTEL_COMET_LAKE), ("arm", ARM_A57)):
                     t_cpu = platform.window_time(stats, iters)
                     speedups[tag].append(t_cpu / t_acc)

@@ -13,7 +13,7 @@ simulated cycles.
 from repro.hw.sim.cholesky_pipe import CholeskyTimeline, simulate_cholesky
 from repro.hw.sim.jacobian_pipe import JacobianPipeline, simulate_jacobian_pipeline
 from repro.hw.sim.accelerator import AcceleratorSim, WindowExecution
-from repro.hw.sim.trace import TraceSimulation, simulate_trace
+from repro.hw.sim.trace import TraceSimulation, simulate_windows
 
 __all__ = [
     "CholeskyTimeline",
@@ -23,5 +23,5 @@ __all__ = [
     "AcceleratorSim",
     "WindowExecution",
     "TraceSimulation",
-    "simulate_trace",
+    "simulate_windows",
 ]

@@ -5,7 +5,9 @@ observation statistics, and iteration counts — through the cycle-level
 :class:`~repro.hw.sim.accelerator.AcceleratorSim`, producing the
 per-window latency/energy series the on-vehicle deployment would see and
 a comparison against the closed-form model (the validation role Vivado
-timing played for the paper).
+timing played for the paper). :func:`simulate_windows` is the one entry
+point; it takes tens of milliseconds over a full recording, so callers
+run it on the engine's cached estimator run rather than caching it.
 """
 
 from __future__ import annotations
@@ -66,11 +68,14 @@ def simulate_windows(
 ) -> TraceSimulation:
     """Replay a series of per-window workloads on a design.
 
-    ``workloads`` is an iterable of ``(WindowStats, iterations)`` pairs —
-    the stage-level interface the execution engine drives
-    (:class:`repro.engine.stages.TraceStage`). Windows with no features
-    are skipped but still advance the per-window seed, so a trace keeps
-    its draws regardless of how many warm-up windows precede it.
+    ``workloads`` is an iterable of ``(WindowStats, iterations)`` pairs;
+    for a :class:`~repro.slam.estimator.RunResult` that is
+    ``[(w.stats, w.iterations) for w in run.windows]``, the iteration
+    count the estimator actually spent (so the run-time system's
+    decisions flow straight into the hardware timing). Each window gets
+    a seeded observation-count draw. Windows with no features are
+    skipped but still advance the per-window seed, so a trace keeps its
+    draws regardless of how many warm-up windows precede it.
     """
     sim = AcceleratorSim(config, platform)
     trace = TraceSimulation()
@@ -89,22 +94,3 @@ def simulate_windows(
         )
     return trace
 
-
-def simulate_trace(
-    run,
-    config: HardwareConfig,
-    platform: FpgaPlatform = ZC706,
-    seed: int = 0,
-) -> TraceSimulation:
-    """Replay a :class:`~repro.slam.estimator.RunResult` on a design.
-
-    Each window uses the iteration count the estimator actually spent
-    (the run-time system's decisions therefore flow straight into the
-    hardware timing) and a seeded per-window observation-count draw.
-    """
-    return simulate_windows(
-        [(window.stats, window.iterations) for window in run.windows],
-        config,
-        platform=platform,
-        seed=seed,
-    )

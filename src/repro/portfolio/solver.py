@@ -35,7 +35,7 @@ from time import perf_counter
 from repro.errors import InfeasibleDesignError
 from repro.hw.config import HardwareConfig
 from repro.hw.latency import window_latency_seconds
-from repro.hw.power import DEFAULT_POWER_MODEL, PowerModel
+from repro.hw.power import DEFAULT_POWER_MODEL
 from repro.portfolio.spec import (
     PortfolioObjective,
     PortfolioSpec,
@@ -233,9 +233,7 @@ def _assign_regimes(
     return assignment, score, slo_met
 
 
-def solve_portfolio(
-    spec: PortfolioSpec, power_model: PowerModel = DEFAULT_POWER_MODEL
-) -> PortfolioSolution:
+def solve_portfolio(spec: PortfolioSpec) -> PortfolioSolution:
     """Solve the fleet portfolio for a traffic forecast.
 
     Raises :class:`InfeasibleDesignError` only when *no* candidate spec
@@ -257,9 +255,7 @@ def solve_portfolio(
     for candidate in spec.candidates:
         for demand in demands:
             try:
-                outcome = exhaustive_search(
-                    regime_design_spec(candidate, demand), power_model=power_model
-                )
+                outcome = exhaustive_search(regime_design_spec(candidate, demand))
             except InfeasibleDesignError:
                 continue
             evaluated_points += outcome.evaluated_points
@@ -280,8 +276,8 @@ def solve_portfolio(
                 demand.stats, config, demand.iterations, platform
             )
             service[(config.label, demand.regime)] = seconds
-            energy[(config.label, demand.regime)] = seconds * power_model.power(
-                config
+            energy[(config.label, demand.regime)] = (
+                seconds * DEFAULT_POWER_MODEL.power(config)
             )
 
     # Stage 2: pruned enumeration of (subset, composition) allocations.
@@ -327,7 +323,7 @@ def solve_portfolio(
                 # unless they absorb nothing; penalize via provisioned
                 # power, not a hard reject, to keep every budget solvable.
                 provisioned = sum(
-                    power_model.power(config) * count
+                    DEFAULT_POWER_MODEL.power(config) * count
                     for config, count in zip(subset, counts)
                 )
                 overload = max(utilization.values(), default=0.0)
@@ -357,7 +353,7 @@ def solve_portfolio(
         PortfolioEntry(
             config=config,
             count=count,
-            power_w=power_model.power(config),
+            power_w=DEFAULT_POWER_MODEL.power(config),
             utilization=sum(
                 d.offered_wps * service[(config.label, d.regime)]
                 for d in demands

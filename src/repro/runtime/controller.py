@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 from repro.data.stats import WindowStats
 from repro.hw.config import HardwareConfig
-from repro.hw.fpga import FpgaPlatform, ZC706
 from repro.hw.latency import window_latency_seconds
-from repro.hw.power import DEFAULT_POWER_MODEL, PowerModel
+from repro.hw.power import DEFAULT_POWER_MODEL
 from repro.runtime.counter import TwoBitSaturatingCounter
 from repro.runtime.profiler import IterationTable, MAX_ITERATIONS
 from repro.runtime.reconfig import ReconfigurationTable
@@ -143,21 +142,15 @@ class RuntimeController:
 
 @dataclass(frozen=True)
 class ReplayResult:
-    """The serializable outcome of replaying a run through the controller.
+    """The outcome of replaying a run through the controller.
 
-    This is the controller's stage-level product: everything the Sec. 7.6
-    experiments read — per-window decisions, the per-Iter gated power of
-    the design's reconfiguration table, and the derived energy totals —
-    without holding on to the live controller (whose table of
-    :class:`~repro.hw.config.HardwareConfig` solves is rebuilt offline).
+    Everything the Sec. 7.6 experiments read — per-window decisions and
+    the derived energy totals — without holding on to the live
+    controller. The per-Iter gated power stays on the design's
+    :class:`~repro.runtime.reconfig.ReconfigurationTable`.
     """
 
     decisions: tuple[WindowDecision, ...]
-    gated_power_by_iter: dict[int, float]
-
-    def gated_power(self, iterations: int) -> float:
-        capped = max(1, min(iterations, max(self.gated_power_by_iter)))
-        return self.gated_power_by_iter[capped]
 
     @property
     def total_energy_j(self) -> float:
@@ -182,30 +175,28 @@ def replay_windows(
     stats_list: list[WindowStats],
     table: IterationTable,
     reconfig: ReconfigurationTable,
-    platform: FpgaPlatform = ZC706,
-    power_model: PowerModel = DEFAULT_POWER_MODEL,
 ) -> ReplayResult:
     """Replay per-window workload statistics through a fresh controller.
 
-    This is the stage adapter the execution engine (and the examples)
-    use instead of hand-rolling the per-window loop: a fresh controller
-    sees the same feature counts the live run saw, so its decisions —
-    and therefore the energy bookkeeping — are identical. Each window is
-    charged its gated design's energy (Equ. 13 latency at the applied
-    ``Iter`` times the gated power) against what the static design
-    would have burned at ``MAX_ITERATIONS``.
+    The experiments and the examples call this on a cached estimator
+    run's window statistics (milliseconds of table lookups and Equ. 13
+    arithmetic per run) instead of hand-rolling the per-window loop: a
+    fresh controller sees the same feature counts the live run saw, so
+    its decisions — and therefore the energy bookkeeping — are
+    identical. Each window is charged its gated design's energy
+    (Equ. 13 latency at the applied ``Iter`` times the gated power, on
+    the ZC706 clock) against what the static design would have burned
+    at ``MAX_ITERATIONS``.
     """
     controller = RuntimeController(table=table, reconfig=reconfig)
     static_config = reconfig.static_config
-    static_power = power_model.power(static_config)
+    static_power = DEFAULT_POWER_MODEL.power(static_config)
     decisions = []
     for stats in stats_list:
         proposal = table.lookup(stats.num_features)
         applied, config, reconfigured = controller.decide(stats.num_features)
-        seconds = window_latency_seconds(stats, config, applied, platform)
-        static_seconds = window_latency_seconds(
-            stats, static_config, MAX_ITERATIONS, platform
-        )
+        seconds = window_latency_seconds(stats, config, applied)
+        static_seconds = window_latency_seconds(stats, static_config, MAX_ITERATIONS)
         decisions.append(
             WindowDecision(
                 feature_count=stats.num_features,
@@ -217,8 +208,4 @@ def replay_windows(
                 static_energy_j=static_seconds * static_power,
             )
         )
-    gated = {
-        iterations: reconfig.gated_power(iterations)
-        for iterations in range(1, max(reconfig.powers) + 1)
-    }
-    return ReplayResult(decisions=tuple(decisions), gated_power_by_iter=gated)
+    return ReplayResult(decisions=tuple(decisions))

@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 
 from repro.errors import InfeasibleDesignError
 from repro.hw.config import HardwareConfig
-from repro.hw.power import DEFAULT_POWER_MODEL, PowerModel
-from repro.hw.resources import DEFAULT_RESOURCE_MODEL, ResourceModel
+from repro.hw.power import DEFAULT_POWER_MODEL
 from repro.runtime.profiler import MAX_ITERATIONS
 from repro.synth.optimizer import exhaustive_search
 from repro.synth.spec import DesignSpec, Objective
@@ -41,11 +40,7 @@ class ReconfigurationTable:
 
 
 def build_reconfiguration_table(
-    static_config: HardwareConfig,
-    spec: DesignSpec,
-    power_model: PowerModel = DEFAULT_POWER_MODEL,
-    resource_model: ResourceModel = DEFAULT_RESOURCE_MODEL,
-    max_iterations: int = MAX_ITERATIONS,
+    static_config: HardwareConfig, spec: DesignSpec
 ) -> ReconfigurationTable:
     """Solve Equ. 18 for every Iter value and memoize the results.
 
@@ -54,12 +49,10 @@ def build_reconfiguration_table(
     """
     entries: dict[int, HardwareConfig] = {}
     powers: dict[int, float] = {}
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         iter_spec = replace(spec, iterations=iterations, objective=Objective.POWER)
         try:
-            outcome = exhaustive_search(
-                iter_spec, resource_model, power_model, upper_bound=static_config
-            )
+            outcome = exhaustive_search(iter_spec, upper_bound=static_config)
             config = outcome.config
         except InfeasibleDesignError:
             # Even the full static design misses the budget at this Iter
@@ -67,7 +60,7 @@ def build_reconfiguration_table(
             # to the static configuration, i.e. no gating.
             config = static_config
         entries[iterations] = config
-        powers[iterations] = power_model.gated_power(static_config, config)
+        powers[iterations] = DEFAULT_POWER_MODEL.gated_power(static_config, config)
     return ReconfigurationTable(
         static_config=static_config, entries=entries, powers=powers
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 from repro.engine import DEFAULT_CACHE_DIR, Engine, configure
@@ -170,11 +169,10 @@ def main(argv: list[str]) -> int:
             print(name)
         return 0
 
-    # REPRO_NO_CACHE is the environment analogue of --no-cache (either
-    # disables the disk cache; metrics are identical both ways).
-    env_no_cache = os.environ.get("REPRO_NO_CACHE", "").lower() in ("1", "true", "yes")
-    use_disk = not (args.no_cache or env_no_cache)
-    engine = configure(cache_dir=args.cache_dir, use_disk=use_disk)
+    # configure() also honors REPRO_NO_CACHE; metrics are identical with
+    # the disk cache on or off.
+    engine = configure(cache_dir=args.cache_dir, use_disk=not args.no_cache)
+    use_disk = engine.cache is not None
     try:
         profile = _apply_overrides(resolve_profile(args.profile), args)
         if args.shards == 1 and not args.drain:

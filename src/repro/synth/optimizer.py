@@ -26,8 +26,8 @@ from repro.hw.latency import (
     jacobian_feature_latency,
     mschur_latency,
 )
-from repro.hw.power import DEFAULT_POWER_MODEL, PowerModel
-from repro.hw.resources import DEFAULT_RESOURCE_MODEL, ResourceModel
+from repro.hw.power import DEFAULT_POWER_MODEL
+from repro.hw.resources import DEFAULT_RESOURCE_MODEL
 from repro.synth.spec import DesignSpec, Objective
 
 # Tie-breaking: every feasible point whose score lies within this
@@ -99,14 +99,13 @@ def _feasibility_grid(
     nd_values: np.ndarray,
     nm_values: np.ndarray,
     s_values: np.ndarray,
-    resource_model: ResourceModel,
 ) -> np.ndarray:
     """Boolean (nd, nm, s) grid of resource feasibility (Equ. 16)."""
     feasible = np.ones(
         (nd_values.size, nm_values.size, s_values.size), dtype=bool
     )
     for kind in RESOURCE_KINDS:
-        linear = getattr(resource_model, kind)
+        linear = getattr(DEFAULT_RESOURCE_MODEL, kind)
         usage = (
             linear.base
             + linear.per_nd * nd_values[:, None, None]
@@ -118,32 +117,25 @@ def _feasibility_grid(
 
 
 def _power_grid(
-    nd_values: np.ndarray,
-    nm_values: np.ndarray,
-    s_values: np.ndarray,
-    power_model: PowerModel,
+    nd_values: np.ndarray, nm_values: np.ndarray, s_values: np.ndarray
 ) -> np.ndarray:
+    model = DEFAULT_POWER_MODEL
     return (
-        power_model.base
-        + power_model.per_nd * nd_values[:, None, None]
-        + power_model.per_nm * nm_values[None, :, None]
-        + power_model.per_s * s_values[None, None, :]
+        model.base
+        + model.per_nd * nd_values[:, None, None]
+        + model.per_nm * nm_values[None, :, None]
+        + model.per_s * s_values[None, None, :]
     )
 
 
 def exhaustive_search(
-    spec: DesignSpec,
-    resource_model: ResourceModel = DEFAULT_RESOURCE_MODEL,
-    power_model: PowerModel = DEFAULT_POWER_MODEL,
-    upper_bound: HardwareConfig | None = None,
+    spec: DesignSpec, upper_bound: HardwareConfig | None = None
 ) -> SearchOutcome:
     """Evaluate the entire (possibly bounded) space; return the optimum."""
     started = perf_counter()
     nd_values, nm_values, s_values, latency = _latency_grid(spec, upper_bound)
-    feasible = _feasibility_grid(
-        spec, nd_values, nm_values, s_values, resource_model
-    )
-    power = _power_grid(nd_values, nm_values, s_values, power_model)
+    feasible = _feasibility_grid(spec, nd_values, nm_values, s_values)
+    power = _power_grid(nd_values, nm_values, s_values)
 
     if spec.objective is Objective.POWER:
         feasible &= latency <= spec.latency_budget_s

@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import ConfigurationError, InfeasibleDesignError
 from repro.hw.config import HardwareConfig, ND_RANGE, NM_RANGE, S_RANGE
 from repro.hw.latency import LatencyModel
-from repro.hw.power import DEFAULT_POWER_MODEL, PowerModel
+from repro.hw.power import DEFAULT_POWER_MODEL
 from repro.synth.spec import DesignSpec
 from repro.synth.synthesizer import synthesize
 
@@ -68,7 +68,6 @@ def _non_dominated(points: list[ParetoPoint]) -> list[ParetoPoint]:
 def perturb_and_validate(
     frontier: list[ParetoPoint],
     spec: DesignSpec | None = None,
-    power_model: PowerModel = DEFAULT_POWER_MODEL,
     perturbations: int = 6,
     seed: int = 0,
 ) -> tuple[list[ParetoPoint], bool]:
@@ -98,7 +97,7 @@ def perturb_and_validate(
                 ParetoPoint(
                     candidate,
                     latency_model.seconds(candidate),
-                    power_model.power(candidate),
+                    DEFAULT_POWER_MODEL.power(candidate),
                 )
             )
 

@@ -30,8 +30,8 @@ from repro.hw.latency import (
     jacobian_feature_latency,
     window_latency_seconds,
 )
-from repro.hw.power import DEFAULT_POWER_MODEL, PowerModel
-from repro.hw.resources import DEFAULT_RESOURCE_MODEL, ResourceModel
+from repro.hw.power import DEFAULT_POWER_MODEL
+from repro.hw.resources import DEFAULT_RESOURCE_MODEL
 from repro.synth.optimizer import SearchOutcome
 from repro.synth.spec import DesignSpec
 
@@ -76,11 +76,7 @@ class _ContinuousLatency:
         return cycles / self._spec.platform.frequency_hz
 
 
-def relaxation_search(
-    spec: DesignSpec,
-    resource_model: ResourceModel = DEFAULT_RESOURCE_MODEL,
-    power_model: PowerModel = DEFAULT_POWER_MODEL,
-) -> SearchOutcome:
+def relaxation_search(spec: DesignSpec) -> SearchOutcome:
     """Solve Equ. 11 by continuous relaxation + rounding + local repair."""
     # Loaded here, outside the timed solve, not at module import:
     # scipy.optimize brings scipy.sparse, .spatial and .special with it
@@ -88,31 +84,26 @@ def relaxation_search(
     from scipy import optimize
 
     started = perf_counter()
-    outcome = _solve(spec, resource_model, power_model, optimize)
+    outcome = _solve(spec, optimize)
     return replace(outcome, solve_seconds=perf_counter() - started)
 
 
-def _solve(
-    spec: DesignSpec,
-    resource_model: ResourceModel,
-    power_model: PowerModel,
-    optimize: ModuleType,
-) -> SearchOutcome:
+def _solve(spec: DesignSpec, optimize: ModuleType) -> SearchOutcome:
     latency = _ContinuousLatency(spec)
 
     def power_of(x: np.ndarray) -> float:
         return (
-            power_model.base
-            + power_model.per_nd * x[0]
-            + power_model.per_nm * x[1]
-            + power_model.per_s * x[2]
+            DEFAULT_POWER_MODEL.base
+            + DEFAULT_POWER_MODEL.per_nd * x[0]
+            + DEFAULT_POWER_MODEL.per_nm * x[1]
+            + DEFAULT_POWER_MODEL.per_s * x[2]
         )
 
     def resource_slack(x: np.ndarray) -> np.ndarray:
         config_like = x
         slacks = []
         for kind in RESOURCE_KINDS:
-            linear = getattr(resource_model, kind)
+            linear = getattr(DEFAULT_RESOURCE_MODEL, kind)
             usage = (
                 linear.base
                 + linear.per_nd * config_like[0]
@@ -149,7 +140,9 @@ def _solve(
     # integer neighbours (then an expanding ring if none is feasible),
     # pick the min-power feasible point.
     def feasible(config: HardwareConfig) -> bool:
-        if not resource_model.fits(config, spec.platform, spec.resource_budget):
+        if not DEFAULT_RESOURCE_MODEL.fits(
+            config, spec.platform, spec.resource_budget
+        ):
             return False
         return (
             window_latency_seconds(
@@ -168,7 +161,7 @@ def _solve(
             nm = int(np.clip(round(center[1]) + d_nm, *NM_RANGE))
             s = int(np.clip(round(center[2]) + d_s, *S_RANGE))
             config = HardwareConfig(nd, nm, s)
-            power = power_model.power(config)
+            power = DEFAULT_POWER_MODEL.power(config)
             if power < best_power and feasible(config):
                 best, best_power = config, power
         if best is not None:

@@ -17,22 +17,32 @@ import pytest
 from repro.data import EUROC_SEQUENCES, KITTI_SEQUENCES
 from repro.engine import (
     ESTIMATOR,
-    REPLAY,
+    POLICY,
     SEQUENCE,
     SYNTHESIS,
-    TRACE,
     Engine,
     EstimatorRequest,
     PolicySpec,
-    ReplayRequest,
-    TraceRequest,
+    PolicyStage,
     artifact_key,
     config_token,
+    configure,
     sequence_config,
 )
+from repro.engine import engine as engine_module
 from repro.errors import ConfigurationError
+from repro.runtime.policy import PolicyTrainSpec
 from repro.slam import EstimatorConfig
 from repro.slam.nls import LMConfig
+from tests.test_runtime_policy import tiny_policy
+
+
+class HandBuiltPolicy(PolicyStage):
+    """The ``POLICY`` stage with training replaced by a hand-built policy."""
+
+    def compute(self, config, engine):
+        del config, engine
+        return tiny_policy()
 
 
 def short_request(duration=2.5, **estimator_fields):
@@ -165,21 +175,6 @@ class TestCacheCorrectness:
 class TestStageCodecs:
     """Each stage's encode/decode round-trips through a cold cache."""
 
-    def test_trace_round_trip(self, tmp_path):
-        from repro.hw import HardwareConfig
-
-        request = TraceRequest(
-            run=short_request(), hardware=HardwareConfig(nd=15, nm=12, s=40)
-        )
-        warm = Engine(cache_dir=tmp_path, use_disk=True)
-        trace_a = warm.run(TRACE, request)
-        cold = Engine(cache_dir=tmp_path, use_disk=True)
-        trace_b = cold.run(TRACE, request)
-        assert cold.stats.by_stage[TRACE.name]["disk_hits"] == 1
-        assert trace_a.seconds == trace_b.seconds
-        assert trace_a.energies_j == trace_b.energies_j
-        assert trace_a.worst_case_seconds == trace_b.worst_case_seconds
-
     def test_synthesis_round_trip(self, tmp_path):
         from repro.synth import NAMED_DESIGN_SPECS
 
@@ -194,17 +189,17 @@ class TestStageCodecs:
         assert design_a.utilization == design_b.utilization
         assert design_a.spec.platform.name == design_b.spec.platform.name
 
-    def test_replay_round_trip(self, tmp_path):
-        request = ReplayRequest(run=short_request(), design="Low-Power")
+    def test_policy_round_trip(self, tmp_path):
+        # A hand-built policy stands in for training: the codec, not the
+        # trainer, is under test.
+        spec = PolicyTrainSpec(name="tiny")
         warm = Engine(cache_dir=tmp_path, use_disk=True)
-        replay_a = warm.run(REPLAY, request)
+        policy = warm.run(HandBuiltPolicy(), spec)
         cold = Engine(cache_dir=tmp_path, use_disk=True)
-        replay_b = cold.run(REPLAY, request)
-        assert replay_a.decisions == replay_b.decisions
-        assert replay_a.total_energy_j == replay_b.total_energy_j
-        assert replay_a.energy_saving == replay_b.energy_saving
-        for iterations in (1, 3, 6):
-            assert replay_a.gated_power(iterations) == replay_b.gated_power(iterations)
+        decoded = cold.run(HandBuiltPolicy(), spec)
+        assert cold.stats.by_stage[POLICY.name]["disk_hits"] == 1
+        assert decoded.digest == policy.digest
+        assert decoded.to_dict() == policy.to_dict()
 
 
 class TestParallelRunner:
@@ -299,6 +294,50 @@ class TestCacheCounters:
         assert counters["misses"] == 1  # the breakdown is also a miss
         assert counters["puts"] == 1  # the recomputed blob was re-stored
 
+    def test_undecodable_blob_is_a_corrupt_miss(self, tmp_path):
+        # The blob parses as an npz with valid engine meta, but the codec
+        # cannot decode it: recompute and re-store instead of raising.
+        from repro.synth import NAMED_DESIGN_SPECS
+
+        spec = NAMED_DESIGN_SPECS["High-Perf"]
+        engine = Engine(cache_dir=tmp_path, use_disk=True)
+        fresh_design = engine.run(SYNTHESIS, spec)
+        path = engine.cache.path_for(SYNTHESIS.name, engine.key_for(SYNTHESIS, spec))
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k != "knobs"}
+        assert "__engine_meta__" in arrays
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
+
+        cold = Engine(cache_dir=tmp_path, use_disk=True)
+        design = cold.run(SYNTHESIS, spec)
+        counters = cold.cache_counters()
+        assert counters["corrupt_blob_misses"] == 1
+        assert counters["misses"] == 1 and counters["hits"] == 0
+        assert counters["puts"] == 1
+        assert cold.stats.computed == 1
+        # solve_seconds is host time; every other field is the solve's.
+        assert replace(design, solve_seconds=0.0) == replace(
+            fresh_design, solve_seconds=0.0
+        )
+
+    def test_policy_edited_after_freezing_is_a_corrupt_miss(self, tmp_path):
+        # The policy codec rejects meta whose digest no longer matches
+        # with a typed error; the cache treats that as corruption too.
+        spec = PolicyTrainSpec(name="tiny")
+        engine = Engine(cache_dir=tmp_path, use_disk=True)
+        body = engine.run(HandBuiltPolicy(), spec).to_dict()
+        body["energy_weight"] = 0.5
+        engine.cache.store(
+            POLICY.name, POLICY.version, engine.key_for(POLICY, spec), {}, body
+        )
+
+        cold = Engine(cache_dir=tmp_path, use_disk=True)
+        policy = cold.run(HandBuiltPolicy(), spec)
+        counters = cold.cache_counters()
+        assert counters["corrupt_blob_misses"] == 1 and counters["puts"] == 1
+        assert policy.digest == tiny_policy().digest
+
     def test_stale_version_counted_separately(self, tmp_path):
         # The stage version is baked into the artifact key, so a version
         # bump normally lands on a different path (a plain miss). The
@@ -339,3 +378,13 @@ class TestCacheCounters:
         line = engine.stats_line()
         assert "blob hits" in line and "puts" in line
         assert Engine(use_disk=False).stats_line().endswith("(disk: disabled)")
+
+
+def test_configure_honors_repro_no_cache(tmp_path, monkeypatch):
+    # configure() replaces the process-wide engine; monkeypatch puts the
+    # previous one back afterwards.
+    monkeypatch.setattr(engine_module, "_default_engine", engine_module._default_engine)
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    assert configure(cache_dir=tmp_path).cache is not None
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    assert configure(cache_dir=tmp_path).cache is None

@@ -9,7 +9,7 @@ import pytest
 
 from repro.data import make_euroc_sequence
 from repro.hw import HardwareConfig
-from repro.hw.sim.trace import simulate_trace
+from repro.hw.sim.trace import simulate_windows
 from repro.slam import EstimatorConfig, SlidingWindowEstimator
 from repro.synth import DesignSpec, exhaustive_search
 from repro.synth.relaxation import relaxation_search
@@ -21,29 +21,36 @@ def short_run():
     return SlidingWindowEstimator(EstimatorConfig(window_size=6)).run(sequence)
 
 
+@pytest.fixture(scope="module")
+def workloads(short_run):
+    """The run's windows as co-simulation input: the stats and the
+    iteration count the estimator actually spent."""
+    return [(w.stats, w.iterations) for w in short_run.windows]
+
+
 class TestTraceSimulation:
-    def test_one_sample_per_window(self, short_run):
-        trace = simulate_trace(short_run, HardwareConfig(20, 10, 30))
+    def test_one_sample_per_window(self, short_run, workloads):
+        trace = simulate_windows(workloads, HardwareConfig(20, 10, 30))
         assert len(trace.seconds) == short_run.num_windows
         assert trace.total_seconds > 0
         assert trace.total_energy_j > 0
 
-    def test_simulation_tracks_analytical_model(self, short_run):
-        trace = simulate_trace(short_run, HardwareConfig(20, 10, 30))
+    def test_simulation_tracks_analytical_model(self, workloads):
+        trace = simulate_windows(workloads, HardwareConfig(20, 10, 30))
         assert trace.model_agreement() < 0.35
 
-    def test_bigger_design_faster_on_trace(self, short_run):
-        small = simulate_trace(short_run, HardwareConfig(2, 2, 2))
-        big = simulate_trace(short_run, HardwareConfig(30, 25, 60))
+    def test_bigger_design_faster_on_trace(self, workloads):
+        small = simulate_windows(workloads, HardwareConfig(2, 2, 2))
+        big = simulate_windows(workloads, HardwareConfig(30, 25, 60))
         assert big.total_seconds < small.total_seconds
 
-    def test_worst_case_bounded_by_total(self, short_run):
-        trace = simulate_trace(short_run, HardwareConfig(16, 8, 24))
+    def test_worst_case_bounded_by_total(self, workloads):
+        trace = simulate_windows(workloads, HardwareConfig(16, 8, 24))
         assert trace.worst_case_seconds <= trace.total_seconds
 
-    def test_deterministic_given_seed(self, short_run):
-        a = simulate_trace(short_run, HardwareConfig(16, 8, 24), seed=3)
-        b = simulate_trace(short_run, HardwareConfig(16, 8, 24), seed=3)
+    def test_deterministic_given_seed(self, workloads):
+        a = simulate_windows(workloads, HardwareConfig(16, 8, 24), seed=3)
+        b = simulate_windows(workloads, HardwareConfig(16, 8, 24), seed=3)
         assert a.simulated_cycles == b.simulated_cycles
 
     def test_model_agreement_empty_trace(self):
