@@ -12,7 +12,6 @@ shapes), which is what makes the substitution faithful; see DESIGN.md.
 
 from repro.data.stats import WindowStats, sequence_stats
 from repro.data.trajectory import DroneTrajectory, CarTrajectory
-from repro.data.io import save_sequence, load_sequence
 from repro.data.sequences import (
     Sequence,
     SequenceConfig,
@@ -29,8 +28,6 @@ __all__ = [
     "DroneTrajectory",
     "CarTrajectory",
     "Sequence",
-    "save_sequence",
-    "load_sequence",
     "SequenceConfig",
     "make_sequence",
     "make_euroc_sequence",

@@ -1,12 +1,13 @@
 """The artifact/stage execution engine.
 
-Every expensive computation in the reproduction — sequence synthesis,
-estimator runs, synthesis solves, controller-policy training — is a
-typed :class:`~repro.engine.stage.Stage` keyed by the content of its
-configuration. The :class:`~repro.engine.engine.Engine` memoizes stage
-products in process and persists them in a content-addressed cache
-under ``.repro_cache/``. Cheap work derived from a cached estimator run
-(the controller replay, the trace co-simulation) is not a stage. See
+Shared computations in the reproduction — sequence synthesis,
+estimator runs, synthesis solves, controller-policy training — are
+typed :class:`~repro.engine.stage.Stage` objects keyed by the content
+of their configuration. The :class:`~repro.engine.engine.Engine`
+memoizes stage products in process and persists the two expensive ones,
+estimator runs and trained policies, in a content-addressed cache under
+``.repro_cache/``. Cheap work derived from a cached estimator run (the
+controller replay, the trace co-simulation) is not a stage. See
 ``docs/engine.md`` for the cache layout and invalidation rules.
 
 Typical use::

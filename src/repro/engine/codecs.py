@@ -1,9 +1,9 @@
-"""Array-level codecs for stage payloads.
+"""The estimator run's array-level codec.
 
-Each codec turns a payload into ``(arrays, meta)`` — a flat mapping of
-numpy arrays plus a small JSON-safe metadata dict — and back. The cache
-stores both in a single ``.npz`` blob (see :mod:`repro.engine.cache`),
-mirroring the format :mod:`repro.data.io` established for sequences.
+The codec turns a :class:`~repro.slam.estimator.RunResult` into
+``(arrays, meta)`` — a flat mapping of numpy arrays plus a small
+JSON-safe metadata dict — and back. The cache stores both in a single
+``.npz`` blob (see :mod:`repro.engine.cache`).
 
 The round-trip contract is *bit-identity*: every float travels through
 float64 arrays (never JSON), so a decoded payload feeds the experiments
@@ -15,12 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.stats import WindowStats
-from repro.hw.config import HardwareConfig
-from repro.hw.fpga import FpgaPlatform
 from repro.slam.estimator import RunResult, WindowResult
 from repro.slam.nls import StageTimings
-from repro.synth.spec import DesignSpec, Objective
-from repro.synth.synthesizer import SynthesisResult
 
 
 def _int_array(values) -> np.ndarray:
@@ -134,84 +130,3 @@ def decode_run_result(arrays, meta) -> RunResult:
     run.feature_counts = [int(v) for v in arrays["feature_counts"]]
     run.iterations_used = [int(v) for v in arrays["iterations_used"]]
     return run
-
-
-# ----------------------------------------------------------------------
-# SynthesisResult
-# ----------------------------------------------------------------------
-
-def encode_synthesis(result: SynthesisResult) -> tuple[dict[str, np.ndarray], dict]:
-    spec = result.spec
-    platform = spec.platform
-    workload = spec.workload
-    arrays = {
-        "knobs": _int_array(result.config.as_tuple()),
-        "latency_s": _float_array([result.latency_s]),
-        "power_w": _float_array([result.power_w]),
-        "solve_seconds": _float_array([result.solve_seconds]),
-        "evaluated_points": _int_array([result.evaluated_points]),
-        "utilization": _float_array(
-            result.utilization[k] for k in sorted(result.utilization)
-        ),
-        "spec_scalars": _float_array(
-            [spec.latency_budget_s, spec.resource_budget, spec.iterations]
-        ),
-        "platform_scalars": _float_array(
-            [platform.lut, platform.ff, platform.bram, platform.dsp,
-             platform.frequency_hz]
-        ),
-        "workload_scalars": _float_array(
-            [workload.num_features, workload.avg_observations,
-             workload.num_keyframes, workload.num_marginalized,
-             workload.state_size, workload.num_observations]
-        ),
-    }
-    meta = {
-        "utilization_keys": sorted(result.utilization),
-        "objective": spec.objective.value,
-        "platform_name": platform.name,
-    }
-    return arrays, meta
-
-
-def decode_synthesis(arrays, meta) -> SynthesisResult:
-    nd, nm, s = (int(v) for v in arrays["knobs"])
-    p = arrays["platform_scalars"]
-    platform = FpgaPlatform(
-        name=str(meta["platform_name"]),
-        lut=int(p[0]),
-        ff=int(p[1]),
-        bram=float(p[2]),
-        dsp=int(p[3]),
-        frequency_hz=float(p[4]),
-    )
-    w = arrays["workload_scalars"]
-    workload = WindowStats(
-        num_features=int(w[0]),
-        avg_observations=float(w[1]),
-        num_keyframes=int(w[2]),
-        num_marginalized=int(w[3]),
-        state_size=int(w[4]),
-        num_observations=int(w[5]),
-    )
-    spec_scalars = arrays["spec_scalars"]
-    spec = DesignSpec(
-        latency_budget_s=float(spec_scalars[0]),
-        platform=platform,
-        resource_budget=float(spec_scalars[1]),
-        workload=workload,
-        iterations=int(spec_scalars[2]),
-        objective=Objective(str(meta["objective"])),
-    )
-    return SynthesisResult(
-        config=HardwareConfig(nd=nd, nm=nm, s=s),
-        spec=spec,
-        latency_s=float(arrays["latency_s"][0]),
-        power_w=float(arrays["power_w"][0]),
-        utilization={
-            key: float(value)
-            for key, value in zip(meta["utilization_keys"], arrays["utilization"])
-        },
-        solve_seconds=float(arrays["solve_seconds"][0]),
-        evaluated_points=int(arrays["evaluated_points"][0]),
-    )

@@ -6,7 +6,10 @@ One :class:`Engine` owns two layers:
    ``functools.lru_cache`` helpers, but shared by every consumer);
 2. the content-addressed on-disk :class:`~repro.engine.cache.ArtifactCache`
    (on by default under ``.repro_cache/``; disable with
-   ``use_disk=False`` / ``--no-cache``).
+   ``use_disk=False`` / ``--no-cache``). Only a stage with a codec is
+   persisted: the estimator run and the trained policy, whose compute
+   dwarfs a blob load. A recording or a synthesis solve is recomputed
+   about as fast as its blob would load, so those stages are memo-only.
 
 Stages are deterministic functions of their config — seeds live inside
 the configs — so results are bit-identical with the cache on or off.
@@ -76,8 +79,9 @@ class Engine:
             if payload is not None:
                 self.stats.record(stage.name, "memory_hits")
                 return payload
-            if self.cache is not None:
-                payload = self.cache.load(stage.name, stage.version, key, stage.decode)
+            cache = self.cache if stage.encode is not None else None
+            if cache is not None:
+                payload = cache.load(stage.name, stage.version, key, stage.decode)
                 if payload is not None:
                     self._memory[key] = payload
                     self.stats.record(stage.name, "disk_hits")
@@ -93,10 +97,10 @@ class Engine:
                 key[:12],
                 time.perf_counter() - started,
             )
-            if self.cache is not None:
+            if cache is not None:
                 arrays, meta = stage.encode(payload)
                 try:
-                    self.cache.store(stage.name, stage.version, key, arrays, meta)
+                    cache.store(stage.name, stage.version, key, arrays, meta)
                     self.stats.record(stage.name, "stores")
                 except OSError as error:
                     # A cache is never worth losing a finished computation

@@ -2,14 +2,16 @@
 
 A stage maps a frozen configuration dataclass to a payload. The engine
 (:mod:`repro.engine.engine`) addresses the result by the content key of
-``(stage.name, stage.version, config)`` and persists it through the
-stage's codec hooks. ``version`` is the stage's *code-version tag*:
-bump it whenever the stage's computation changes meaning, and every
+``(stage.name, stage.version, config)`` and memoizes it in process. A
+stage with codec hooks is also persisted to the disk cache; one without
+them is memo-only. ``version`` is the stage's *code-version tag*: bump
+it whenever the stage's computation changes meaning, and every
 previously cached artifact of that stage is invalidated at once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import Any
 
 import numpy as np
@@ -22,20 +24,17 @@ class Stage:
     name: str = "stage"
     #: Code-version tag; part of every artifact key and blob.
     version: str = "1"
+    #: Codec for the disk cache: payload -> (arrays, json-safe meta), and
+    #: its inverse, which must be bit-exact for numerics. A stage defines
+    #: both or neither; without them the engine never touches the disk.
+    encode: Callable[[Any], tuple[dict[str, np.ndarray], dict]] | None = None
+    decode: Callable[[dict[str, np.ndarray], dict], Any] | None = None
 
     def compute(self, config: Any, engine) -> Any:
         """Produce the payload for ``config``.
 
         ``engine`` is passed so a stage can pull its upstream artifacts
-        through the same cache (e.g. the trace stage pulling the
-        estimator run it replays).
+        through the same cache (e.g. the estimator stage pulling the
+        recording it runs over).
         """
-        raise NotImplementedError
-
-    def encode(self, payload: Any) -> tuple[dict[str, np.ndarray], dict]:
-        """Payload -> (arrays, json-safe meta) for the disk cache."""
-        raise NotImplementedError
-
-    def decode(self, arrays: dict[str, np.ndarray], meta: dict) -> Any:
-        """Inverse of :meth:`encode`; must be bit-exact for numerics."""
         raise NotImplementedError

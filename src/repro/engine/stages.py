@@ -1,18 +1,21 @@
 """The typed stages of the reproduction pipeline.
 
-Four stages cover the expensive work the Sec. 7 harness, the serving
-tier and the controller trainer share; every consumer (experiments,
-benchmarks, examples) goes through them so repeated invocations —
-across processes — hit the artifact cache instead of re-running the
-estimator:
+Four stages cover the work the Sec. 7 harness, the serving tier and the
+controller trainer share; every consumer (experiments, benchmarks,
+examples) goes through them so repeated invocations — across processes
+— hit the artifact cache instead of re-running the estimator:
 
 * :class:`SequenceStage` — synthesize a sensor recording from its
-  :class:`~repro.data.sequences.SequenceConfig`;
+  :class:`~repro.data.sequences.SequenceConfig` (memo-only);
 * :class:`EstimatorStage` — run the sliding-window estimator over a
   sequence (optionally with a declaratively-specified runtime policy);
 * :class:`SynthesisStage` — solve a :class:`~repro.synth.spec.DesignSpec`
-  constrained optimization;
+  constrained optimization (memo-only);
 * :class:`PolicyStage` — train the learned run-time controller.
+
+Only the estimator run and the trained policy have codecs, so only they
+reach the disk cache: a recording re-synthesizes and a synthesis solve
+re-runs about as fast as a blob of either would load.
 
 Work that is cheap next to the estimator run it reads — the runtime
 controller's replay (:func:`repro.runtime.controller.replay_windows`)
@@ -31,7 +34,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field, replace
 
-from repro.data.io import sequence_from_arrays, sequence_to_arrays
 from repro.data.sequences import (
     EUROC_SEQUENCES,
     KITTI_SEQUENCES,
@@ -135,19 +137,13 @@ def materialize_policy(spec: PolicySpec, engine=None):
 
 class SequenceStage(Stage):
     name = "sequence"
-    # v2: the payload drops the landmark field (repro.data.io format 2).
+    # v2: the payload drops the landmark field. Memo-only: the version
+    # still keys the memo and serve's counts, but guards nothing on disk.
     version = "2"
 
     def compute(self, config: SequenceConfig, engine):
         del engine
         return make_sequence(config)
-
-    def encode(self, payload):
-        return sequence_to_arrays(payload), {}
-
-    def decode(self, arrays, meta):
-        del meta
-        return sequence_from_arrays(arrays)
 
 
 class EstimatorStage(Stage):
@@ -187,12 +183,6 @@ class SynthesisStage(Stage):
     def compute(self, config: DesignSpec, engine):
         del engine
         return synthesize(config)
-
-    def encode(self, payload):
-        return codecs.encode_synthesis(payload)
-
-    def decode(self, arrays, meta):
-        return codecs.decode_synthesis(arrays, meta)
 
 
 class PolicyStage(Stage):

@@ -1,12 +1,12 @@
 """Shared experiment infrastructure: result containers, engine-backed
 run access, and table formatting.
 
-All heavy artifacts (sequences, estimator runs, synthesis solves) flow
+All shared artifacts (sequences, estimator runs, synthesis solves) flow
 through the :mod:`repro.engine` execution engine, so repeated experiment
-and benchmark invocations hit the in-process memo or the on-disk
-artifact cache instead of re-running the estimator. The runtime
-controller's replay is recomputed from the cached run: it is
-milliseconds of table lookups.
+and benchmark invocations hit the in-process memo, and estimator runs
+also the on-disk artifact cache, instead of re-running the estimator.
+The runtime controller's replay is recomputed from the cached run: it
+is milliseconds of table lookups.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def estimator_request(
 
 
 def get_sequence(kind: str, name: str, duration: float) -> Sequence:
-    """Deterministic catalog sequence, via the engine cache."""
+    """Deterministic catalog sequence, via the engine's memo."""
     return get_engine().run(SEQUENCE, sequence_config(kind, name, duration))
 
 

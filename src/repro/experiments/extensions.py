@@ -14,6 +14,7 @@ import numpy as np
 from repro.experiments.common import (
     ExperimentResult,
     KITTI_DURATION_S,
+    get_run,
     get_sequence,
 )
 from repro.runtime import build_iteration_table, profile_accuracy_vs_iterations
@@ -84,18 +85,13 @@ def run_ext_accuracy_table() -> ExperimentResult:
     """Paper-style per-sequence accuracy table over the full catalog.
 
     Runs the estimator on every EuRoC-MH-like and KITTI-like sequence
-    (short cuts, for harness runtime) and reports ATE plus workload
-    statistics — the dataset-characterization table evaluations lead
-    with.
+    (short cuts, for harness runtime) through the engine and reports
+    ATE plus workload statistics — the dataset-characterization table
+    evaluations lead with.
     """
-    from repro.data import EUROC_SEQUENCES, KITTI_SEQUENCES, make_sequence
+    from repro.data import EUROC_SEQUENCES, KITTI_SEQUENCES
     from repro.data.stats import sequence_stats
-    from repro.slam import (
-        EstimatorConfig,
-        SlidingWindowEstimator,
-        absolute_trajectory_error,
-    )
-    from dataclasses import replace
+    from repro.slam import absolute_trajectory_error
 
     result = ExperimentResult(
         experiment_id="ext-accuracy",
@@ -109,13 +105,10 @@ def run_ext_accuracy_table() -> ExperimentResult:
             "mean_marginalized",
         ],
     )
-    catalog = [("euroc", name, cfg, 10.0) for name, cfg in EUROC_SEQUENCES.items()]
-    catalog += [
-        ("kitti", name, cfg, 12.0) for name, cfg in sorted(KITTI_SEQUENCES.items())
-    ]
-    for kind, name, config, duration in catalog:
-        sequence = make_sequence(replace(config, duration=duration))
-        run = SlidingWindowEstimator(EstimatorConfig(window_size=8)).run(sequence)
+    catalog = [("euroc", name, 10.0) for name in EUROC_SEQUENCES]
+    catalog += [("kitti", name, 12.0) for name in sorted(KITTI_SEQUENCES)]
+    for kind, name, duration in catalog:
+        run = get_run(kind, name, duration)
         ate = absolute_trajectory_error(
             np.array(run.estimated_positions), np.array(run.true_positions)
         )
@@ -231,20 +224,15 @@ def run_ext_window_size() -> ExperimentResult:
     """
     from repro.hw.latency import cholesky_latency
     from repro.linalg.smatrix import SMatrixLayout
-    from repro.slam import (
-        EstimatorConfig,
-        SlidingWindowEstimator,
-        absolute_trajectory_error,
-    )
+    from repro.slam import absolute_trajectory_error
 
-    sequence = get_sequence("euroc", "MH_03", 10.0)
     result = ExperimentResult(
         experiment_id="ext-window-size",
         title="Window size b: accuracy vs hardware cost",
         columns=["window_size", "ate_cm", "cholesky_kcycles", "s_matrix_kwords"],
     )
     for b in (4, 6, 8, 12):
-        run = SlidingWindowEstimator(EstimatorConfig(window_size=b)).run(sequence)
+        run = get_run("euroc", "MH_03", 10.0, window_size=b)
         ate = absolute_trajectory_error(
             np.array(run.estimated_positions), np.array(run.true_positions)
         )
@@ -268,10 +256,12 @@ def run_ext_robustness() -> ExperimentResult:
     """Failure injection: plain vs robust MAP under 10% mismatches."""
     from dataclasses import replace
 
-    from repro.data.sequences import EUROC_SEQUENCES, make_sequence
+    from repro.data.sequences import EUROC_SEQUENCES
     from repro.data.tracks import TrackerConfig
-    from repro.slam import EstimatorConfig, SlidingWindowEstimator
+    from repro.engine import ESTIMATOR, EstimatorRequest, get_engine
+    from repro.slam import EstimatorConfig
 
+    engine = get_engine()
     result = ExperimentResult(
         experiment_id="ext-robustness",
         title="Outlier injection: plain vs robust (Huber + gating) MAP pipeline",
@@ -283,11 +273,16 @@ def run_ext_robustness() -> ExperimentResult:
             duration=6.0,
             tracker=TrackerConfig(outlier_probability=probability),
         )
-        sequence = make_sequence(config)
-        plain = SlidingWindowEstimator(EstimatorConfig(window_size=8)).run(sequence)
-        robust = SlidingWindowEstimator(
-            EstimatorConfig(window_size=8, huber_delta=2.5, outlier_gate_px=8.0)
-        ).run(sequence)
+        plain = engine.run(
+            ESTIMATOR, EstimatorRequest(config, EstimatorConfig(window_size=8))
+        )
+        robust = engine.run(
+            ESTIMATOR,
+            EstimatorRequest(
+                config,
+                EstimatorConfig(window_size=8, huber_delta=2.5, outlier_gate_px=8.0),
+            ),
+        )
         result.rows.append(
             [
                 100 * probability,

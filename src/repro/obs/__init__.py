@@ -1,7 +1,7 @@
 """``repro.obs`` — the unified, dependency-free observability layer.
 
-One tracer for the engine and the serving tier, one histogram and one
-metrics-file layout:
+One tracer for the serving tier, one histogram and one metrics-file
+layout:
 
 * :mod:`repro.obs.tracer` — :class:`Span` records appended to a
   thread-safe per-run :class:`Trace` (wall or virtual clock), exported

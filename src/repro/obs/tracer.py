@@ -1,13 +1,13 @@
 """Structured tracing: spans over a wall or virtual clock.
 
 A :class:`Span` is one named, categorized interval with attributes; a
-:class:`Trace` is the thread-safe per-run recording the engine and the
-serving tier append to, each span through :meth:`Trace.add_span` with
-explicit times. Two clock disciplines coexist:
+:class:`Trace` is the thread-safe per-run recording the serving tier
+appends to, each span through :meth:`Trace.add_span` with explicit
+times. Two clock disciplines coexist:
 
-* ``clock="wall"`` — ``time.perf_counter`` times. The engine records
-  each artifact fetch this way; spans land on one track per recording
-  thread.
+* ``clock="wall"`` — ``time.perf_counter`` times; spans land on one
+  track per recording thread. It is the default clock, including for a
+  trace read back through :meth:`Trace.from_jsonl`.
 * ``clock="virtual"`` — simulated times. The serving tier records its
   queue-wait / batch / service spans this way, so a seeded run exports a
   byte-identical trace no matter which backend, or how many workers,
@@ -40,8 +40,8 @@ class Span:
     """One recorded interval.
 
     Attributes:
-        name: what ran (e.g. ``"sequence"``, ``"service"``).
-        category: which layer recorded it (``"engine"``, ``"serve"``).
+        name: what ran (e.g. ``"queue_wait"``, ``"service"``).
+        category: which layer recorded it (e.g. ``"serve"``).
         start_s: start time in the trace's clock (seconds).
         duration_s: extent in seconds.
         depth: nesting level (0 = top level).

@@ -128,6 +128,12 @@ def plan_shards(
     """
     if num_shards < 1:
         raise ConfigurationError("need at least one shard")
+    unknown = sorted(set(drained) - set(range(num_shards)))
+    if unknown:
+        raise ConfigurationError(
+            f"cannot drain unknown shard(s) {unknown}: shard ids are "
+            f"0..{num_shards - 1}"
+        )
     active = [sid for sid in range(num_shards) if sid not in set(drained)]
     if not active:
         raise ConfigurationError("cannot drain every shard in the fleet")

@@ -69,10 +69,12 @@ class LoadProfile:
     _AT_LEAST_ONE = (
         "num_sessions",
         "num_instances",
+        "window_size",
         "max_queue",
         "batch_size",
         "max_pending_per_session",
     )
+    _NON_NEGATIVE = ("degrade_drop", "portfolio_configs", "reconfig_after")
     _POSITIVE = (
         "rate_hz",
         "think_time_s",
@@ -111,14 +113,10 @@ class LoadProfile:
             from repro.runtime.policy import resolve_policy_spec
 
             resolve_policy_spec(self.policy)  # raises with did-you-mean
-        if self.portfolio_configs < 0:
-            raise ConfigurationError(
-                f"portfolio_configs must be >= 0, got {self.portfolio_configs}"
-            )
-        if self.reconfig_after < 0:
-            raise ConfigurationError(
-                f"reconfig_after must be >= 0, got {self.reconfig_after}"
-            )
+        for name in self._NON_NEGATIVE:
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value}")
         if self.reconfig_after > 0 and not self.portfolio:
             raise ConfigurationError(
                 "reconfig_after needs a portfolio: a homogeneous pool has "

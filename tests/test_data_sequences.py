@@ -1,6 +1,9 @@
 """Tests for synthetic sequence generation."""
 
-from dataclasses import replace
+import gc
+import json
+import tracemalloc
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -16,7 +19,6 @@ from repro.data import (
     make_kitti_sequence,
     make_sequence,
 )
-from repro.data.io import sequence_to_arrays
 from repro.data.landmarks import density_profile
 from repro.data.sequences import ImuSegment, Sequence, _landmark_field, _make_trajectory
 from repro.data.tracks import (
@@ -287,12 +289,42 @@ _REFERENCE_CONFIGS = {
 }
 
 
+def _flatten(sequence: Sequence) -> dict[str, np.ndarray]:
+    """Every array of a recording under its own key, plus its config as
+    JSON bytes, so two recordings compare byte for byte."""
+    arrays = {
+        "config": np.frombuffer(
+            json.dumps(asdict(sequence.config), sort_keys=True).encode(), dtype=np.uint8
+        ),
+        "timestamps": sequence.timestamps,
+        "true_bias_gyro": sequence.true_bias_gyro,
+        "true_bias_accel": sequence.true_bias_accel,
+        "true_states": np.stack(
+            [
+                np.concatenate(
+                    [s.position, s.rotation.ravel(), s.velocity, s.bias_gyro, s.bias_accel]
+                )
+                for s in sequence.true_states
+            ]
+        ),
+    }
+    for i, segment in enumerate(sequence.imu_segments):
+        arrays[f"imu_{i}_t"] = segment.timestamps
+        arrays[f"imu_{i}_g"] = segment.gyro
+        arrays[f"imu_{i}_a"] = segment.accel
+        arrays[f"imu_{i}_dt"] = np.array([segment.dt])
+    for i, obs in enumerate(sequence.observations):
+        arrays[f"obs_{i}_ids"] = obs.ids
+        arrays[f"obs_{i}_px"] = obs.pixels
+    return arrays
+
+
 @pytest.mark.parametrize("name", sorted(_REFERENCE_CONFIGS))
 def test_batched_synthesis_matches_per_sample_reference(name):
     config = _REFERENCE_CONFIGS[name]
     reference, reference_landmarks = _reference_sequence(config)
-    actual = sequence_to_arrays(make_sequence(config))
-    expected = sequence_to_arrays(reference)
+    actual = _flatten(make_sequence(config))
+    expected = _flatten(reference)
     assert actual.keys() == expected.keys()
     for key, value in expected.items():
         assert actual[key].dtype == value.dtype, key
@@ -527,3 +559,24 @@ def test_culling_drops_cells_outside_the_frustum(side):
     unculled, visible = _assert_culling_exact(tracker, pose)
     assert np.array_equal(visible, np.arange(len(inside)))
     assert not np.any(unculled >= len(inside))
+
+
+def test_observation_storage_per_observation():
+    """A recording holds its observations as two arrays per keyframe:
+    24 B of data per observation (an int64 id and two float64 pixel
+    coordinates) plus a few objects per keyframe. The bound fails a dict
+    of per-observation pixel views, which costs about 180 B each."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sequence = make_euroc_sequence("MH_01", duration=15.0)
+        num_obs = int(sequence.feature_counts().sum())
+        gc.collect()
+        with_observations = tracemalloc.get_traced_memory()[0]
+        sequence.observations = []
+        gc.collect()
+        without = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert num_obs > 5000
+    assert (with_observations - without) / num_obs < 40.0

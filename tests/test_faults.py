@@ -14,7 +14,7 @@ import pytest
 from repro.data import make_euroc_sequence
 from repro.data.stats import WindowStats
 from repro.engine.engine import Engine
-from repro.engine.stages import SEQUENCE
+from repro.engine.stages import ESTIMATOR
 from repro.errors import ConfigurationError, DataError, SolverError
 from repro.runtime.controller import replay_windows
 from repro.runtime.profiler import IterationTable
@@ -28,6 +28,7 @@ from repro.testing.faults import (
     inject_track_dropout,
     make_degenerate_window,
 )
+from tests.test_engine import short_request
 
 
 @pytest.fixture(scope="module")
@@ -129,20 +130,25 @@ class TestDegenerateWindow:
 
 class TestCorruptedCache:
     @pytest.mark.parametrize("mode", ["truncate", "garbage", "empty"])
-    def test_engine_recomputes_through_corruption(self, tmp_path, mode, sequence):
-        config = sequence.config
+    def test_engine_recomputes_through_corruption(self, tmp_path, mode):
+        request = short_request()
         warm = Engine(cache_dir=tmp_path)
-        reference = warm.run(SEQUENCE, config)
-        assert warm.stats.stores >= 1
+        reference = warm.run(ESTIMATOR, request)
+        assert warm.stats.stores == 1
 
         corrupted = corrupt_cache_artifacts(tmp_path, mode=mode)
-        assert corrupted >= 1
+        assert corrupted == 1
 
         cold = Engine(cache_dir=tmp_path)
-        outcome = graceful_outcome(lambda: cold.run(SEQUENCE, config))
+        outcome = graceful_outcome(lambda: cold.run(ESTIMATOR, request))
         assert outcome.recovered
-        assert cold.stats.computed == 1  # corrupt blob treated as a miss
-        assert np.array_equal(outcome.result.timestamps, reference.timestamps)
+        # The corrupt blob is treated as a miss: the run is recomputed.
+        assert cold.stats.by_stage[ESTIMATOR.name]["computed"] == 1
+        assert cold.cache_counters()["corrupt_blob_misses"] == 1
+        assert np.array_equal(
+            np.array(outcome.result.estimated_positions),
+            np.array(reference.estimated_positions),
+        )
 
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):

@@ -104,6 +104,10 @@ class TestLoadProfile:
             mini_profile(deadline_s=0.0)
         with pytest.raises(ConfigurationError):
             mini_profile(max_pending_per_session=0)
+        with pytest.raises(ConfigurationError, match="window_size"):
+            mini_profile(window_size=0)
+        with pytest.raises(ConfigurationError, match="degrade_drop"):
+            mini_profile(degrade_drop=-3)
 
     def test_registry_and_did_you_mean(self):
         assert {"smoke", "steady", "overload", "closed-loop"} <= set(

@@ -181,6 +181,12 @@ class TestPlanShards:
         with pytest.raises(ConfigurationError):
             plan_shards(fleet_profile(), 2, drained={0, 1})
 
+    def test_cannot_drain_an_unknown_shard(self):
+        # A drain of a shard the fleet does not have would leave every
+        # shard serving while the metrics reported it drained.
+        with pytest.raises(ConfigurationError, match=r"\[2, 7\].*0\.\.1"):
+            plan_shards(fleet_profile(), 2, drained={0, 2, 7})
+
 
 class TestFleetRuns:
     def test_fleet_is_union_of_standalone_shards(self):

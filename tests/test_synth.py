@@ -243,6 +243,27 @@ class TestSearchEquivalence:
                 rel=1e-12,
             )
 
+    def test_tiebreak_picks_smallest_latency_on_a_power_plateau(self, monkeypatch):
+        # No seeded spec tells the tiebreak rule from taking the
+        # lexicographically first in-band point. A flat power grid puts
+        # every feasible point in the band: the rule must pick the
+        # fastest point, where lexicographic order would give (1, 1, 1).
+        from repro.synth import NAMED_DESIGN_SPECS, optimizer
+
+        monkeypatch.setattr(
+            optimizer,
+            "_power_grid",
+            lambda nd, nm, s: np.ones((nd.size, nm.size, s.size)),
+        )
+        spec = dataclasses.replace(
+            NAMED_DESIGN_SPECS["High-Perf"],
+            objective=Objective.POWER,
+            latency_budget_s=1.0,
+        )
+        outcome = exhaustive_search(spec, upper_bound=self.BOUND)
+        assert outcome.config == HardwareConfig(10, 10, 24)
+        assert outcome.power_w == 1.0
+
     def test_solve_seconds_come_from_spans(self):
         outcome = exhaustive_search(DesignSpec(latency_budget_s=0.033))
         assert outcome.solve_seconds > 0.0
